@@ -283,6 +283,10 @@ def cmd_simulate(args) -> int:
                 f"seed={line['seed']} out={line['out']} "
                 f"selected={line['selected']} converged={str(line['converged']).lower()}{extras}"
             )
+        if args.seeds is not None and "f1" in lines[0]:
+            # stderr, so stdout keeps exactly one record per seed
+            average = sum(line["f1"] for line in lines) / len(lines)
+            print(f"average_f1={average:.3f} over {len(lines)} seeds", file=sys.stderr)
     return 0
 
 

@@ -12,6 +12,10 @@ beyond it.  That stationary point is the fixed point of the shift map
 is located by an Aitken-accelerated fixed-point iteration and the three
 candidates are compared directly.
 
+There is one implementation, :func:`solve_threshold_batch`, which solves a
+vector of inputs y that share lam and g in one array iteration; each element
+stops at its own step.  :func:`solve_threshold` is its one-element call.
+
 With the identity surrogate this reduces exactly to soft thresholding
 ``max(y - lam, 0)``, which the tests use as a closed-form reference.
 
@@ -33,8 +37,11 @@ from .surrogates import SurrogateKind, SurrogateSpec, eval_g, grad_g
 __all__ = [
     "ProxProblem",
     "ProxSolution",
+    "ProxBatch",
     "Branch",
+    "BRANCHES",
     "solve_threshold",
+    "solve_threshold_batch",
     "breakpoint_a0",
     "oracle_threshold",
     "prox_objective",
@@ -117,62 +124,99 @@ def breakpoint_a0(g: SurrogateSpec, lam: float) -> float:
     return -math.log(s) / gam if s < 1.0 else 0.0
 
 
-def solve_threshold(problem: ProxProblem, max_iter: int = DEFAULT_MAX_ITER) -> ProxSolution:
-    """Globally minimize f_y over x >= 0.
+@dataclass(frozen=True)
+class ProxBatch:
+    """Per-element results of :func:`solve_threshold_batch`.
 
-    Returns the minimizer together with the branch that produced it:
-    the accelerated fixed-point iterate, the breakpoint, or zero.
+    ``branch`` holds indices into :data:`BRANCHES`.
+    """
+
+    x_star: np.ndarray
+    iterations: np.ndarray
+    branch: np.ndarray
+
+
+BRANCHES = (Branch.FIXED_POINT, Branch.BREAKPOINT, Branch.ZERO)
+_FIXED_POINT, _BREAKPOINT, _ZERO = range(len(BRANCHES))
+
+
+def solve_threshold_batch(y, lam: float, g: SurrogateSpec, tol: float = 1e-10,
+                          max_iter: int = DEFAULT_MAX_ITER) -> ProxBatch:
+    """Globally minimize f_y over x >= 0 for every element of a vector ``y``.
+
+    All elements share ``lam``, ``g`` and hence the breakpoint a0.  Each
+    element runs its own accelerated fixed-point iteration and stops at its
+    own step, so its result does not depend on the other elements.
 
     Raises
     ------
     IterationLimitError
-        if the fixed-point iteration does not meet ``problem.tol`` within
+        if any element's fixed-point iteration does not meet ``tol`` within
         ``max_iter`` accelerated steps (non-contraction, e.g. from surrogate
         parameters that are numerically degenerate).
     """
-    y, lam, g, tol = problem.y, problem.lam, problem.g, problem.tol
-    if y == 0.0:
-        return ProxSolution(0.0, 0, Branch.ZERO)
-
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y) & (y >= 0.0)):
+        raise ValueError("y must be finite and >= 0")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     a0 = breakpoint_a0(g, lam)
+    # y = 0 thresholds to 0 without iterating (lp's g' has a pole there)
+    live = y > 0.0
 
-    def shift(x: float) -> float:
+    def shift(x, y):
         # J1; iterates are kept inside [a0, y] where the map is contractive
         # and g' is defined (lp has a pole at 0 but its a0 is always > 0)
-        return min(max(y - lam * grad_g(g, x), a0), y)
+        return np.minimum(np.maximum(y - lam * grad_g(g, x), a0), y)
 
-    slope_at_a0 = (a0 - y) + lam * grad_g(g, a0)
-    iterations = 0
-    if slope_at_a0 < 0.0:
-        # interior stationary point exists beyond a0; find the fixed point
-        x = y
-        while True:
-            x1 = shift(x)
-            x2 = shift(x1)
-            resid = x2 - 2.0 * x1 + x
-            if abs(resid) <= tol or abs(resid) < _AITKEN_GUARD:
-                break
-            if iterations >= max_iter:
-                raise IterationLimitError(
-                    f"thresholding did not converge in {max_iter} iterations "
-                    f"(residual {abs(resid):.3e}, tol {tol:.3e})"
-                )
-            x = min(max(x1 - (x2 - x1) * (x1 - x) / resid, a0), y)
-            if not math.isfinite(x):
-                raise NumericalError("thresholding iterate became non-finite")
-            iterations += 1
-        x_hat = shift(x)
-        branch = Branch.FIXED_POINT
-    else:
-        x_hat = a0
-        branch = Branch.BREAKPOINT
+    # an interior stationary point exists beyond a0 where the slope there is < 0
+    interior = live & ((a0 - y) + lam * grad_g(g, a0) < 0.0)
+    x_hat = np.full(y.shape, a0)
+    iterations = np.zeros(y.shape, dtype=int)
+    rows = np.flatnonzero(interior)
+    y_rows = x = y[rows]
+    step = 0
+    while rows.size:
+        x1 = shift(x, y_rows)
+        x2 = shift(x1, y_rows)
+        resid = x2 - 2.0 * x1 + x
+        done = (np.abs(resid) <= tol) | (np.abs(resid) < _AITKEN_GUARD)
+        x_hat[rows[done]] = x1[done]
+        iterations[rows[done]] = step
+        going = ~done
+        if not going.any():
+            break
+        if step >= max_iter:
+            raise IterationLimitError(
+                f"thresholding did not converge in {max_iter} iterations "
+                f"(residual {np.abs(resid[going][0]):.3e}, tol {tol:.3e})"
+            )
+        rows, y_rows, x, x1, x2, resid = (
+            v[going] for v in (rows, y_rows, x, x1, x2, resid))
+        x = np.minimum(np.maximum(x1 - (x2 - x1) * (x1 - x) / resid, a0), y_rows)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("thresholding iterate became non-finite")
+        step += 1
 
     f0 = 0.5 * y * y + lam * eval_g(g, 0.0)
     f_hat = 0.5 * (y - x_hat) ** 2 + lam * eval_g(g, x_hat)
-    if f0 > f_hat:
-        return ProxSolution(x_hat, iterations, branch)
     # ties go to the sparser answer
-    return ProxSolution(0.0, iterations, Branch.ZERO)
+    wins = live & (f0 > f_hat)
+    branch = np.where(wins, np.where(interior, _FIXED_POINT, _BREAKPOINT), _ZERO)
+    return ProxBatch(np.where(wins, x_hat, 0.0), iterations, branch)
+
+
+def solve_threshold(problem: ProxProblem, max_iter: int = DEFAULT_MAX_ITER) -> ProxSolution:
+    """Globally minimize f_y over x >= 0: the one-element batch.
+
+    Returns the minimizer together with the branch that produced it:
+    the accelerated fixed-point iterate, the breakpoint, or zero.  Raises
+    :class:`IterationLimitError` as :func:`solve_threshold_batch` does.
+    """
+    batch = solve_threshold_batch(np.array([problem.y]), problem.lam, problem.g,
+                                  problem.tol, max_iter)
+    return ProxSolution(float(batch.x_star[0]), int(batch.iterations[0]),
+                        BRANCHES[batch.branch[0]])
 
 
 def apply_threshold(value: float, lam: float, g: SurrogateSpec,

@@ -122,16 +122,6 @@ class SurrogateSpec:
     def to_config(self) -> dict:
         return {"kind": self.kind.value, "params": dict(self.params)}
 
-    # convenience method forms of the module-level operations
-    def value(self, x):
-        return eval_g(self, x)
-
-    def grad(self, x):
-        return grad_g(self, x)
-
-    def curvature(self, x):
-        return second_deriv_g(self, x)
-
 
 def eval_g(spec: SurrogateSpec, x):
     """Evaluate g(x) for x >= 0 (scalar or array)."""

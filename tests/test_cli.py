@@ -184,6 +184,18 @@ def test_simulate_seed_sweep_parallel(tmp_path, capsys):
     assert "seed=1" in lines[0] and "seed=2" in lines[1]
 
 
+def test_simulate_seed_sweep_prints_average_f1(tmp_path, capsys):
+    config = _small_config(tmp_path)
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "sweep"),
+               "--seeds", "1,2"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    f1s = [float(line.rsplit("f1=", 1)[1]) for line in captured.out.splitlines()]
+    average = float(captured.err.split("average_f1=", 1)[1].split()[0])
+    assert average == pytest.approx(sum(f1s) / 2, abs=1e-3)
+    assert captured.err.strip().endswith("over 2 seeds")
+
+
 def test_simulate_seed_flag_overrides_config(tmp_path):
     config = _small_config(tmp_path)
     out = tmp_path / "run"
