@@ -250,8 +250,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(payload, dict):
         raise ValueError("config file must hold a JSON object")
     # validate before launching any runs so flag errors surface immediately
-    base_seed = payload.get("seed", 0)
-    PipelineConfig.from_json_dict({**payload, "seed": int(base_seed)})
+    base_seed = PipelineConfig.from_json_dict(payload).seed
 
     out_root = Path(args.out)
     if args.seeds is not None:
@@ -260,7 +259,7 @@ def cmd_simulate(args) -> int:
             raise ValueError("--seeds list is empty")
         runs = [(seed, str(out_root / f"seed_{seed}")) for seed in seeds]
     else:
-        seed = args.seed if args.seed is not None else int(base_seed)
+        seed = args.seed if args.seed is not None else base_seed
         runs = [(seed, str(out_root))]
 
     if args.jobs > 1 and len(runs) > 1:

@@ -44,6 +44,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +147,10 @@ class GgmProblem:
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
-    """A symmetric, strictly positive definite matrix."""
+    """A symmetric, strictly positive definite matrix and its smallest eigenvalue."""
 
     omega: np.ndarray
+    min_eig: float = field(init=False, repr=False)
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
@@ -157,10 +159,12 @@ class PrecisionMatrix:
         asym = float(np.max(np.abs(om - om.T)))
         if asym > 1e-8:
             raise ValueError(f"precision matrix not symmetric (max asymmetry {asym:.3e})")
-        if float(np.linalg.eigvalsh(om)[0]) <= 0.0:
+        min_eig = float(np.linalg.eigvalsh(om)[0])
+        if min_eig <= 0.0:
             raise ValueError("precision matrix is not positive definite")
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
+        object.__setattr__(self, "min_eig", min_eig)
 
     @property
     def n(self) -> int:
@@ -198,6 +202,13 @@ class SolverOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "precision_method", PrecisionMethod(self.precision_method))
+        for name, kind in (("T", Integral), ("inner_max_iter", Integral), ("eta", Real),
+                           ("inner_tol", Real), ("outer_tol", Real), ("lam_growth", Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(
+                    f"solver option {name!r} must be {kind.__name__.lower()}, got {value!r}"
+                )
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.eta <= 0 or self.inner_tol <= 0 or self.outer_tol <= 0:
@@ -404,18 +415,18 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
     iterations = 0
     for t in range(1, opts.T + 1):
         if opts.precision_method is PrecisionMethod.EIGEN_CLOSED_FORM:
-            omega_new = update_precision_eig(current.sigma_hat, delta, current.lam).omega
+            precision = update_precision_eig(current.sigma_hat, delta, current.lam)
         else:
-            omega_new = update_precision(
+            precision = update_precision(
                 current.sigma_hat, delta, current.lam, eta=opts.eta,
                 max_iter=opts.inner_max_iter, tol=opts.inner_tol, omega0=omega,
-            ).omega
-        delta = update_auxiliary(omega_new, current).delta
-        trace.append((t, penalized_objective(omega_new, delta, current)))
-        min_eigs.append(float(np.linalg.eigvalsh(omega_new)[0]))
+            )
+        delta = update_auxiliary(precision, current).delta
+        trace.append((t, penalized_objective(precision, delta, current)))
+        min_eigs.append(precision.min_eig)
         iterations = t
-        change = float(np.linalg.norm(omega_new - omega))
-        omega = omega_new
+        change = float(np.linalg.norm(precision.omega - omega))
+        omega = precision.omega
         if change <= opts.outer_tol:
             converged = True
             break
@@ -423,7 +434,7 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
             current = replace(current, lam=current.lam * opts.lam_growth)
 
     return SolverReport(
-        omega_star=PrecisionMatrix(omega),
+        omega_star=precision,
         objective_trace=tuple(trace),
         converged=converged,
         iterations=iterations,
@@ -437,8 +448,13 @@ def load_covariance(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         payload = json.loads(path.read_text())
-        n = int(payload["n"])
-        data = np.asarray(payload["data"], dtype=float)
+        if not isinstance(payload, dict) or not {"n", "data"} <= payload.keys():
+            raise ValueError('covariance JSON must be an object with keys "n" and "data"')
+        try:
+            n = int(payload["n"])
+            data = np.asarray(payload["data"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"covariance JSON: bad 'n' or 'data': {exc}") from exc
         if data.size != n * n:
             raise ValueError(f"covariance JSON: expected {n * n} values, got {data.size}")
         return data.reshape(n, n)

@@ -15,7 +15,8 @@ Collecting node values across steps gives the sample matrix whose mean picks
 the important set and whose covariance feeds the graphical model.
 
 All operations are pure; importance state is threaded functionally (one
-owner per tensor).  Step dumps on disk are directories of JSON records
+state per layer and tensor kind: a layer's A, B and bias tensors are stacked
+row by row).  Step dumps on disk are directories of JSON records
 {step, layer_id, tensor: "A"|"B"|"b", index, values, grads}; component
 indices are 0-based throughout.
 """
@@ -129,13 +130,6 @@ class LayerDecomposition:
     residual: np.ndarray
     singular_values: np.ndarray = field(repr=False)
 
-    @property
-    def rank(self) -> int:
-        return self.left_scaled.shape[1]
-
-    def component(self, i: int):
-        return self.left_scaled[:, i], self.right_unit[i, :]
-
     def reconstruction(self) -> np.ndarray:
         return self.left_scaled @ self.right_unit
 
@@ -190,15 +184,13 @@ class ImportanceState:
     """EMA pair tracking smoothed sensitivity and its absolute deviation.
 
     ``mean`` and ``spread`` start at zero (the base case is unspecified
-    upstream; zero makes step-1 values analytic).  ``step`` counts completed
-    updates.
+    upstream; zero makes step-1 values analytic).
     """
 
     mean: np.ndarray
     spread: np.ndarray
     beta1: float
     beta2: float
-    step: int = 0
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -235,17 +227,21 @@ def update_score(state: ImportanceState, sens_k):
     mean = state.beta1 * state.mean + (1.0 - state.beta1) * sens
     spread = state.beta2 * state.spread + (1.0 - state.beta2) * np.abs(sens - mean)
     score = mean * spread
-    new_state = ImportanceState(mean, spread, state.beta1, state.beta2, state.step + 1)
-    return new_state, score
+    return ImportanceState(mean, spread, state.beta1, state.beta2), score
 
 
-def node_value_pair(score_a, score_b) -> float:
-    """Half-mean of the A-part scores plus half-mean of the B-part scores."""
+def node_value_pair(score_a, score_b):
+    """Half-mean of the A-part scores plus half-mean of the B-part scores.
+
+    Means run over the last axis: score vectors give a float, r-row stacks
+    give the r pair values, each bit-equal to its single-row call.
+    """
     score_a = np.asarray(score_a, dtype=float)
     score_b = np.asarray(score_b, dtype=float)
     if score_a.size == 0 or score_b.size == 0:
         raise ValueError("pair node needs nonempty score vectors")
-    return 0.5 * float(np.mean(score_a)) + 0.5 * float(np.mean(score_b))
+    value = 0.5 * np.mean(score_a, axis=-1) + 0.5 * np.mean(score_b, axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def node_value_bias(score_b) -> float:
@@ -369,24 +365,23 @@ class TensorKey:
 
 
 def _layout_from_keys(keys) -> list:
-    """Validate the tensor key set and return [(layer_id, rank)] in layer order."""
+    """Validate the tensor key set; return [(layer_id, {kind: keys in index order})]."""
     by_layer = {}
-    for key in keys:
-        by_layer.setdefault(key.layer_id, []).append(key)
+    for key in sorted(keys, key=TensorKey.sort_key):
+        groups = by_layer.setdefault(key.layer_id, {PAIR_A: [], PAIR_B: [], BIAS: []})
+        groups[key.kind].append(key)
     layers = []
-    for layer_id in sorted(by_layer):
-        layer_keys = by_layer[layer_id]
-        a_idx = sorted(k.index for k in layer_keys if k.kind == PAIR_A)
-        b_idx = sorted(k.index for k in layer_keys if k.kind == PAIR_B)
-        has_bias = any(k.kind == BIAS for k in layer_keys)
-        if not has_bias:
+    for layer_id, groups in by_layer.items():
+        if not groups[BIAS]:
             raise ValueError(f"layer {layer_id}: bias tensor missing from stream")
+        a_idx = [k.index for k in groups[PAIR_A]]
+        b_idx = [k.index for k in groups[PAIR_B]]
         if a_idx != b_idx or a_idx != list(range(len(a_idx))) or not a_idx:
             raise ValueError(
                 f"layer {layer_id}: pair components must be 0..r-1 on both sides, "
                 f"got A={a_idx} B={b_idx}"
             )
-        layers.append((layer_id, len(a_idx)))
+        layers.append((layer_id, {kind: tuple(group) for kind, group in groups.items()}))
     if not layers:
         raise ValueError("score stream is empty")
     return layers
@@ -397,60 +392,53 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
 
     ``steps`` is a sequence of dicts mapping :class:`TensorKey` to a
     ``(values, grads)`` pair; every step must cover exactly the same tensor
-    set.  Returns the node-value sample matrix, one row per step, columns in
-    layout order (layers ascending, pairs then bias).
+    set, and all tensors of one kind in a layer share the length they have
+    at step 0.  Each step stacks a layer's A tensors, its B tensors and its
+    bias, one kind at a time, and advances that (layer, kind) state with one
+    :func:`update_score` call.  Returns the node-value sample matrix, one
+    row per step, columns in layout order (layers ascending, pairs then bias).
     """
     if not steps:
         raise ValueError("score stream is empty")
-    keys = sorted(steps[0].keys(), key=TensorKey.sort_key)
-    layer_ranks = _layout_from_keys(keys)
+    layers = _layout_from_keys(steps[0].keys())
+    states = {
+        (layer_id, kind): ImportanceState.zeros(
+            (len(keys), np.size(steps[0][keys[0]][0])), beta1, beta2)
+        for layer_id, groups in layers
+        for kind, keys in groups.items()
+    }
+    layout = NodeLayout(tuple(
+        LayerShape(layer_id, states[layer_id, PAIR_A].mean.shape[1],
+                   states[layer_id, PAIR_B].mean.shape[1], len(groups[PAIR_A]))
+        for layer_id, groups in layers
+    ))
 
-    shapes = {}
-    states = {}
-    for key in keys:
-        values, _ = steps[0][key]
-        shapes[key] = np.asarray(values, dtype=float).shape
-        states[key] = ImportanceState.zeros(shapes[key], beta1, beta2)
-
-    layer_dims = {}
-    for layer_id, rank in layer_ranks:
-        d1 = shapes[TensorKey(layer_id, PAIR_A, 0)][0]
-        d2 = shapes[TensorKey(layer_id, PAIR_B, 0)][0]
-        for i in range(rank):
-            if shapes[TensorKey(layer_id, PAIR_A, i)] != (d1,):
-                raise ValueError(f"layer {layer_id}: A{i} shape differs from A0")
-            if shapes[TensorKey(layer_id, PAIR_B, i)] != (d2,):
-                raise ValueError(f"layer {layer_id}: B{i} shape differs from B0")
-        layer_dims[layer_id] = (d1, d2)
-
-    layout = NodeLayout(
-        tuple(
-            LayerShape(layer_id, layer_dims[layer_id][0], layer_dims[layer_id][1], rank)
-            for layer_id, rank in layer_ranks
-        )
-    )
-
-    rows = []
+    rows = np.empty((len(steps), layout.n))
     for step_no, step in enumerate(steps):
-        if sorted(step.keys(), key=TensorKey.sort_key) != keys:
+        if step.keys() != steps[0].keys():
             raise ValueError(f"step {step_no}: tensor set differs from step 0")
-        scores = {}
-        for key in keys:
-            values, grads = step[key]
-            states[key], scores[key] = update_score(states[key], sensitivity(values, grads))
-        row = []
-        for layer_id, rank in layer_ranks:
-            for i in range(rank):
-                row.append(
-                    node_value_pair(
-                        scores[TensorKey(layer_id, PAIR_A, i)],
-                        scores[TensorKey(layer_id, PAIR_B, i)],
+        column = 0
+        for layer_id, groups in layers:
+            scores = {}
+            for kind, keys in groups.items():
+                state = states[layer_id, kind]
+                values, grads = zip(*(step[key] for key in keys))
+                try:
+                    sens = sensitivity(np.stack(values), np.stack(grads))
+                except ValueError:
+                    sens = None
+                if sens is None or sens.shape != state.mean.shape:
+                    raise ValueError(
+                        f"step {step_no}: layer {layer_id}: every {kind} tensor must have length "
+                        f"{state.mean.shape[1]}, that of the first {kind} tensor at step 0"
                     )
-                )
-            row.append(node_value_bias(scores[TensorKey(layer_id, BIAS)]))
-        rows.append(row)
+                states[layer_id, kind], scores[kind] = update_score(state, sens)
+            r = len(groups[PAIR_A])
+            rows[step_no, column:column + r] = node_value_pair(scores[PAIR_A], scores[PAIR_B])
+            rows[step_no, column + r] = node_value_bias(scores[BIAS][0])
+            column += r + 1
 
-    return SampleSet(values=np.asarray(rows), names=layout.node_names(), layout=layout)
+    return SampleSet(values=rows, names=layout.node_names(), layout=layout)
 
 
 _RECORD_KEYS = {"step", "layer_id", "tensor", "values", "grads"}

@@ -240,6 +240,14 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_value(payload: dict, key: str, convert):
+    """``convert(payload[key])``; a value it rejects raises ValueError naming the key."""
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated run configuration; mirrors the JSON config file."""
@@ -293,33 +301,35 @@ class PipelineConfig:
         if not isinstance(selection, dict) or set(selection) not in ({"budget"}, {"threshold"}):
             raise ValueError("selection must be {'budget': int} or {'threshold': float}")
         solver_dict = payload.get("solver", {})
+        if not isinstance(solver_dict, dict):
+            raise ValueError("config key 'solver' must be a JSON object")
         unknown_solver = set(solver_dict) - _SOLVER_KEYS
         if unknown_solver:
             raise ValueError(f"unknown solver keys: {sorted(unknown_solver)}")
         kwargs = dict(
             mode=payload["mode"],
-            h=int(payload["h"]),
-            surrogate=SurrogateSpec.from_config(payload["surrogate"]),
-            tau=float(payload["tau"]),
-            lam=float(payload["lambda"]),
-            selection_budget=(int(selection["budget"]) if "budget" in selection else None),
-            selection_threshold=(float(selection["threshold"]) if "threshold" in selection else None),
-            seed=int(payload.get("seed", 0)),
+            h=_config_value(payload, "h", int),
+            surrogate=_config_value(payload, "surrogate", SurrogateSpec.from_config),
+            tau=_config_value(payload, "tau", float),
+            lam=_config_value(payload, "lambda", float),
+            selection_budget=(
+                _config_value(selection, "budget", int) if "budget" in selection else None
+            ),
+            selection_threshold=(
+                _config_value(selection, "threshold", float) if "threshold" in selection else None
+            ),
             solver=SolverOptions(**solver_dict),
             ggm_mode=GgmMode(payload.get("ggm_mode", GgmMode.IMPORTANT_ROWS)),
             standardize=bool(payload.get("standardize", False)),
         )
-        for name in ("n", "k_connected", "m"):
+        for name in ("seed", "n", "k_connected", "m"):
             if name in payload:
-                kwargs[name] = int(payload[name])
-        if "coupling" in payload:
-            kwargs["coupling"] = float(payload["coupling"])
+                kwargs[name] = _config_value(payload, name, int)
+        for name in ("coupling", "beta1", "beta2"):
+            if name in payload:
+                kwargs[name] = _config_value(payload, name, float)
         if "dump" in payload:
             kwargs["dump_dir"] = str(payload["dump"])
-        if "beta1" in payload:
-            kwargs["beta1"] = float(payload["beta1"])
-        if "beta2" in payload:
-            kwargs["beta2"] = float(payload["beta2"])
         return cls(**kwargs)
 
     @classmethod

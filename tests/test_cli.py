@@ -234,6 +234,39 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+_MALFORMED_INPUTS = {
+    "solver_T_string": {"solver": {"T": "abc"}},
+    "solver_T_float": {"solver": {"T": 2.5}},
+    "solver_list": {"solver": ["T"]},
+    "gradient_inner_max_iter_float": {
+        "solver": {"T": 2, "precision_method": "gradient", "inner_max_iter": 1.5},
+    },
+    "solver_eta_string": {"solver": {"eta": "x"}},
+    "h_null": {"h": None},
+    "surrogate_null": {"surrogate": None},
+    "coupling_null": {"coupling": None},
+    "tau_list": {"tau": [1]},
+    "seed_null": {"seed": None},
+    "budget_null": {"selection": {"budget": None}},
+    "cov_json_without_n": {"data": [1.0, 0.0, 0.0, 1.0]},
+    "cov_json_list": [1.0, 0.0, 0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_config_or_covariance_exits_2(tmp_path, capsys, case):
+    content = _MALFORMED_INPUTS[case]
+    out = str(tmp_path / "run")
+    if case.startswith("cov_json"):
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps(content))
+        argv = ["solve", "--cov", str(cov), "--important", "0", "--out", out]
+    else:
+        argv = ["simulate", "--config", str(_small_config(tmp_path, **content)), "--out", out]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------- score
 
 
