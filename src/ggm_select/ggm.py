@@ -147,24 +147,36 @@ class GgmProblem:
 
 @dataclass(frozen=True)
 class PrecisionMatrix:
-    """A symmetric, strictly positive definite matrix and its smallest eigenvalue."""
+    """A symmetric, strictly positive definite matrix and its smallest eigenvalue.
+
+    Positive definiteness is proved by one Cholesky factorization.  A caller
+    that already knows the smallest eigenvalue passes it as ``min_eig`` (the
+    eigen route passes the least eigenvalue of its closed form); otherwise it
+    is computed with ``eigvalsh``.  Either way it must be finite and > 0.
+    """
 
     omega: np.ndarray
-    min_eig: float = field(init=False, repr=False)
+    min_eig: float = field(default=None, repr=False)
 
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:
             raise ValueError(f"precision matrix must be square, got {om.shape}")
+        if not np.all(np.isfinite(om)):
+            raise ValueError("precision matrix contains non-finite entries")
         asym = float(np.max(np.abs(om - om.T)))
         if asym > 1e-8:
             raise ValueError(f"precision matrix not symmetric (max asymmetry {asym:.3e})")
-        min_eig = float(np.linalg.eigvalsh(om)[0])
-        if min_eig <= 0.0:
-            raise ValueError("precision matrix is not positive definite")
+        try:
+            np.linalg.cholesky(om)
+        except np.linalg.LinAlgError:
+            raise ValueError("precision matrix is not positive definite") from None
+        min_eig = float(np.linalg.eigvalsh(om)[0]) if self.min_eig is None else self.min_eig
+        if not (math.isfinite(min_eig) and min_eig > 0.0):
+            raise ValueError(f"precision matrix min_eig must be finite and > 0, got {min_eig}")
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "min_eig", min_eig)
+        object.__setattr__(self, "min_eig", float(min_eig))
 
     @property
     def n(self) -> int:
@@ -224,7 +236,10 @@ class SolverReport:
     ``group_norms`` is a length-n vector of the penalized group norms of the
     final Omega; in ``important_rows`` mode entries at important columns are
     0.0 by convention (those columns carry no group penalty).
-    ``min_eig_trace`` records the smallest eigenvalue of each Omega iterate.
+    ``min_eig_trace`` records the smallest eigenvalue of each Omega iterate:
+    ``min(1/diag)`` for the diagonal start, then each iterate's
+    ``PrecisionMatrix.min_eig`` (on the eigen route, the least eigenvalue of
+    the closed form).  It is not written to ``report.json``.
     """
 
     omega_star: PrecisionMatrix
@@ -310,7 +325,9 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     With A_s = Q diag(a) Q^T, the stationarity condition
     1/(2*lam*w) - a - w = 0 has the unique positive root
     w = (-a + sqrt(a**2 + 2/lam)) / 2 per eigenvalue, so the solution is
-    strictly positive definite by construction.
+    strictly positive definite by construction.  The least w is the result's
+    ``min_eig``; the returned matrix still proves positive definiteness with
+    its own Cholesky factorization.
     """
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
@@ -318,7 +335,7 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     a, q = np.linalg.eigh(a_s)
     w = 0.5 * (-a + np.sqrt(a**2 + 2.0 / lam))
     omega = (q * w) @ q.T
-    return PrecisionMatrix(0.5 * (omega + omega.T))
+    return PrecisionMatrix(0.5 * (omega + omega.T), min_eig=float(w.min()))
 
 
 def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
@@ -410,7 +427,7 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
 
     current = problem
     trace = [(0, penalized_objective(omega, delta, current))]
-    min_eigs = [float(np.linalg.eigvalsh(omega)[0])]
+    min_eigs = [float(np.min(1.0 / diag))]
     converged = False
     iterations = 0
     for t in range(1, opts.T + 1):

@@ -286,11 +286,17 @@ class SampleSet:
         return self.values.shape[1]
 
     def save_csv(self, path) -> None:
+        """Write a header row of names, then one row per sample in ``%.17g``.
+
+        ``%.17g`` round-trips every double.  Rows are converted one at a time:
+        ``tolist()`` on the whole matrix would hold a Python float per value.
+        """
         path = Path(path)
+        template = ",".join(["%.17g"] * self.n) + "\n"
         with path.open("w") as handle:
             handle.write(",".join(self.names) + "\n")
             for row in self.values:
-                handle.write(",".join(format(v, ".17g") for v in row) + "\n")
+                handle.write(template % tuple(row.tolist()))
 
     @classmethod
     def load_csv(cls, path) -> "SampleSet":

@@ -29,6 +29,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,19 @@ def _config_value(payload: dict, key: str, convert):
         raise ValueError(f"config key {key!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer as is: a float or a boolean is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated run configuration; mirrors the JSON config file."""
@@ -308,23 +322,24 @@ class PipelineConfig:
             raise ValueError(f"unknown solver keys: {sorted(unknown_solver)}")
         kwargs = dict(
             mode=payload["mode"],
-            h=_config_value(payload, "h", int),
+            h=_config_value(payload, "h", _integer),
             surrogate=_config_value(payload, "surrogate", SurrogateSpec.from_config),
             tau=_config_value(payload, "tau", float),
             lam=_config_value(payload, "lambda", float),
             selection_budget=(
-                _config_value(selection, "budget", int) if "budget" in selection else None
+                _config_value(selection, "budget", _integer) if "budget" in selection else None
             ),
             selection_threshold=(
                 _config_value(selection, "threshold", float) if "threshold" in selection else None
             ),
             solver=SolverOptions(**solver_dict),
             ggm_mode=GgmMode(payload.get("ggm_mode", GgmMode.IMPORTANT_ROWS)),
-            standardize=bool(payload.get("standardize", False)),
         )
+        if "standardize" in payload:
+            kwargs["standardize"] = _config_value(payload, "standardize", _boolean)
         for name in ("seed", "n", "k_connected", "m"):
             if name in payload:
-                kwargs[name] = _config_value(payload, name, int)
+                kwargs[name] = _config_value(payload, name, _integer)
         for name in ("coupling", "beta1", "beta2"):
             if name in payload:
                 kwargs[name] = _config_value(payload, name, float)

@@ -248,6 +248,15 @@ _MALFORMED_INPUTS = {
     "tau_list": {"tau": [1]},
     "seed_null": {"seed": None},
     "budget_null": {"selection": {"budget": None}},
+    "h_float": {"h": 2.9},
+    "n_float": {"n": 8.0},
+    "k_connected_float": {"k_connected": 2.5},
+    "m_float": {"m": 80.5},
+    "budget_float": {"selection": {"budget": 3.7}},
+    "seed_bool": {"seed": True},
+    "seed_float": {"seed": 3.0},
+    "standardize_string": {"standardize": "no"},
+    "standardize_int": {"standardize": 1},
     "cov_json_without_n": {"data": [1.0, 0.0, 0.0, 1.0]},
     "cov_json_list": [1.0, 0.0, 0.0, 1.0],
 }

@@ -382,8 +382,48 @@ def test_precision_matrix_validation():
         PrecisionMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         PrecisionMatrix(np.diag([1.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PrecisionMatrix(np.array([[bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            PrecisionMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+    # indefinite (eigenvalues 3 and -1): a supplied min_eig does not skip the proof
+    with pytest.raises(ValueError, match="not positive definite"):
+        PrecisionMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), min_eig=1.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="min_eig"):
+            PrecisionMatrix(np.eye(2), min_eig=bad)
     pm = PrecisionMatrix(np.eye(2))
     assert pm.n == 2
+    assert pm.min_eig == 1.0
+    assert PrecisionMatrix(np.diag([2.0, 3.0]), min_eig=2.0).min_eig == 2.0
+
+
+def test_eigen_update_min_eig_is_the_closed_form_least_eigenvalue():
+    rng = np.random.default_rng(44)
+    for n, lam in ((1, 1.0), (6, 0.05), (25, 1.0), (60, 20.0)):
+        sigma = _wishart(rng, n)
+        delta = rng.standard_normal((n, n))
+        precision = update_precision_eig(sigma, delta + delta.T, lam)
+        w = np.linalg.eigvalsh(precision.omega)
+        assert abs(precision.min_eig - w[0]) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_eigen_route_solve_calls_no_eigvalsh(monkeypatch, mode):
+    problem = _problem(np.random.default_rng(45), 12, mode=mode, tau=0.5)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    report = solve_ggm(problem, SolverOptions(T=15))
+    assert report.iterations == 15
+    assert calls == []
+    assert np.all(report.min_eig_trace > 0)
 
 
 def test_aux_matrix_rejects_non_finite():

@@ -21,6 +21,7 @@ from ggm_select.nodes import (
     sensitivity,
     update_score,
 )
+from ggm_select.pipeline import make_planted
 
 # ---------------------------------------------------------------- decomposition
 
@@ -307,6 +308,34 @@ def test_sample_csv_round_trip(tmp_path):
     loaded = SampleSet.load_csv(path)
     assert loaded.names == samples.names
     np.testing.assert_array_equal(loaded.values, values)
+
+
+def _per_value_csv(samples: SampleSet) -> str:
+    """The writer save_csv replaced: one format() call per value."""
+    lines = [",".join(samples.names) + "\n"]
+    for row in samples.values:
+        lines.append(",".join(format(v, ".17g") for v in row) + "\n")
+    return "".join(lines)
+
+
+_AWKWARD_VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e-5, 1e-4,
+                   1e16, 1e17, 123456789012345678.0)
+
+
+def test_sample_csv_bytes_match_per_value_writer(tmp_path):
+    awkward = np.array(_AWKWARD_VALUES)
+    cases = [
+        SampleSet(values=np.vstack([awkward, awkward[::-1]]),
+                  names=tuple(f"c{i}" for i in range(awkward.size))),
+        SampleSet(values=awkward[:, None], names=("only",)),
+        SampleSet(values=np.zeros((0, 3)), names=("a", "b", "c")),
+        make_planted(n=30, h=3, k_connected=4, coupling=0.5, m=400, seed=7)[1],
+    ]
+    for i, samples in enumerate(cases):
+        path = tmp_path / f"case{i}.csv"
+        samples.save_csv(path)
+        assert path.read_bytes() == _per_value_csv(samples).encode()
+    assert "-0," in (tmp_path / "case0.csv").read_text()
 
 
 def test_sample_set_rejects_negative_and_duplicate():
