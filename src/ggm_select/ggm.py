@@ -204,6 +204,8 @@ class SolverOptions:
     """Knobs for :func:`solve_ggm`; defaults match the CLI documentation."""
 
     T: int = 200
+    # gradient route only: eta is the first trial step of update_precision,
+    # inner_tol its gradient-norm stop and inner_max_iter its step cap
     eta: float = 0.1
     inner_tol: float = 1e-8
     inner_max_iter: int = 5000
@@ -313,9 +315,16 @@ def _coefficient_matrix(sigma_hat: np.ndarray, delta: np.ndarray, lam: float) ->
 
 
 def _subproblem_value(omega: np.ndarray, a_s: np.ndarray, lam: float) -> float:
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
+    """Omega-block objective; -inf when Omega has no Cholesky factor (not PD).
+
+    One factorization is both the positive definiteness test and the log
+    determinant: log det(Omega) = 2 * sum(log diag(L)).
+    """
+    try:
+        chol = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
         return -np.inf
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     return logdet / (2.0 * lam) - float(np.sum(a_s * omega)) - 0.5 * float(np.sum(omega**2))
 
 
@@ -343,13 +352,25 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
                      omega0=None) -> PrecisionMatrix:
     """Gradient-ascent maximizer of the Omega block.
 
-    Ascends (1/2lam)*log det(Omega) - <A_s, Omega> - 0.5*||Omega||_F**2 with
-    steps Omega + eta*((1/2lam)*Omega^-1 - A_s - Omega), symmetrizing after
-    each step.  The step is halved (for that step) whenever it would leave
-    the positive definite cone (smallest eigenvalue <= 1e-10) or decrease
-    the block objective.  Stops when the gradient Frobenius norm drops to
-    ``tol``; hitting ``max_iter`` first is reported by the caller's
-    convergence flag, not an exception.
+    Ascends f(Omega) = (1/2lam)*log det(Omega) - <A_s, Omega> - 0.5*||Omega||_F**2
+    along its gradient G = (1/2lam)*Omega^-1 - A_s - Omega, symmetrizing each
+    trial point.  This is a plain first-order route, kept as an independent
+    check on the closed form of :func:`update_precision_eig`.
+
+    The trial step is ``eta`` for the first step, then the Barzilai-Borwein
+    step <s, s> / -<s, y> with s and y the last accepted changes in Omega and
+    G; when -<s, y> <= 0 the previous step is kept.  The block Hessian is
+    <= -I, so this step never exceeds 1.  Each trial is tested by one
+    Cholesky factorization, which gives both positive definiteness and
+    log det.  A trial that is not positive definite, or that lowers f by more
+    than a rounding-level slack, halves the step (up to 40 times, down to a
+    floor of 1e-18), so every accepted iterate is positive definite and
+    ascends.
+
+    Stops when ||G||_F drops to ``tol``, when no step scale ascends, or after
+    ``max_iter`` gradient steps; in every case the last iterate is returned.
+    :func:`solve_ggm` does not yet report an inner solve that stopped short
+    of ``tol``.
 
     ``omega0`` seeds the ascent (identity by default); pass the previous
     iterate for warm starts.
@@ -361,12 +382,18 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
     omega = np.eye(n) if omega0 is None else _as_array(omega0).copy()
     value = _subproblem_value(omega, a_s, lam)
     step = eta
+    previous = None  # (Omega, G) before the last accepted step
     for _ in range(max_iter):
         grad = np.linalg.inv(omega) / (2.0 * lam) - a_s - omega
         if not np.all(np.isfinite(grad)):
             raise NumericalError("precision update produced non-finite gradient")
         if float(np.linalg.norm(grad)) <= tol:
             break
+        if previous is not None:
+            s = omega - previous[0]
+            curvature = -float(np.sum(s * (grad - previous[1])))
+            if curvature > 0.0:
+                step = float(np.sum(s * s)) / curvature
         # rounding-level slack: near the optimum the true ascent per step drops
         # below double precision and exact comparisons would stall the loop
         slack = 1e-12 * (1.0 + abs(value))
@@ -374,18 +401,19 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
         for _ in range(40):
             trial = omega + step * grad
             trial = 0.5 * (trial + trial.T)
-            if float(np.linalg.eigvalsh(trial)[0]) > PSD_TOL:
-                trial_value = _subproblem_value(trial, a_s, lam)
-                if trial_value >= value - slack:
-                    omega, value = trial, max(trial_value, value)
-                    accepted = True
-                    break
+            trial_value = _subproblem_value(trial, a_s, lam)
+            # -inf marks a trial that is not PD; it must not pass against a
+            # start value of -inf (an omega0 that is not PD)
+            if trial_value > -np.inf and trial_value >= value - slack:
+                previous = (omega, grad)
+                omega, value = trial, max(trial_value, value)
+                accepted = True
+                break
             step *= 0.5
             if step < 1e-18:
                 break
         if not accepted:
             break  # no productive step at any scale; gradient norm decides convergence
-        step = min(step * 2.0, eta)
     if not np.all(np.isfinite(omega)):
         raise NumericalError("precision update produced non-finite iterate")
     return PrecisionMatrix(omega)

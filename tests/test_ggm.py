@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ggm_select import ggm
 from ggm_select.ggm import (
     AuxMatrix,
     GgmMode,
@@ -150,6 +151,75 @@ def test_precision_update_output_is_pd():
         delta = rng.standard_normal((n, n)) * 3
         omega = update_precision_eig(sigma, delta, rng.uniform(0.2, 3.0)).omega
         assert np.linalg.eigvalsh(omega)[0] > 0
+
+
+def _block_objective(omega, sigma, delta, lam):
+    a = sigma / (2 * lam) - delta
+    sign, logdet = np.linalg.slogdet(omega)
+    assert sign > 0
+    return logdet / (2 * lam) - np.sum(0.5 * (a + a.T) * omega) - 0.5 * np.sum(omega**2)
+
+
+def _block_gradient(omega, sigma, delta, lam):
+    a = sigma / (2 * lam) - delta
+    return np.linalg.inv(omega) / (2 * lam) - 0.5 * (a + a.T) - omega
+
+
+def test_gradient_route_uses_one_cholesky_per_trial(monkeypatch):
+    rng = np.random.default_rng(36)
+    sigma = _wishart(rng, 12)
+    delta = rng.standard_normal((12, 12)) * 0.3
+    counts = dict.fromkeys(("cholesky", "eigvalsh", "slogdet", "values"), 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("cholesky", "eigvalsh", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(ggm, "_subproblem_value", counting("values", ggm._subproblem_value))
+    update_precision(sigma, delta, 0.7)
+    trials = counts["values"] - 1  # the first block value is the start's
+    assert trials >= 2
+    assert counts["slogdet"] == 0
+    assert counts["eigvalsh"] <= 1  # the returned PrecisionMatrix's min_eig
+    # one factorization per block value, plus the returned matrix's PD proof
+    assert counts["cholesky"] == counts["values"] + 1
+
+
+def test_gradient_route_converges_within_500_steps_on_criterion_3_stream():
+    # the problem stream of acceptance criterion 3 (same generator, same seed)
+    rng = np.random.default_rng(103)
+    for case in range(50):
+        n = (5, 20, 40)[case % 3]
+        root = rng.standard_normal((n, 2 * n))
+        sigma = root @ root.T / (2 * n)
+        sigma = 0.5 * (sigma + sigma.T) + 0.05 * np.eye(n)
+        delta = rng.standard_normal((n, n)) * 0.3
+        lam = float(rng.uniform(0.1, 2.0))
+        omega = update_precision(sigma, delta, lam, tol=1e-8, max_iter=500).omega
+        assert np.linalg.norm(_block_gradient(omega, sigma, delta, lam)) <= 1e-8, case
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.1])
+def test_gradient_route_ill_conditioned_distant_start(lam):
+    rng = np.random.default_rng(37)
+    n = 40
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma = (q * np.logspace(-3, 1, n)) @ q.T  # condition number 1e4
+    sigma = 0.5 * (sigma + sigma.T)
+    delta = rng.standard_normal((n, n)) * 0.3
+    closed = update_precision_eig(sigma, delta, lam).omega
+    root = rng.standard_normal((n, n))
+    for omega0 in (25.0 * np.eye(n), root @ root.T / n + 0.01 * np.eye(n)):
+        assert np.linalg.norm(omega0 - closed) > 5.0
+        start = _block_objective(omega0, sigma, delta, lam)
+        result = update_precision(sigma, delta, lam, omega0=omega0)
+        assert np.linalg.eigvalsh(result.omega)[0] > 0
+        assert _block_objective(result.omega, sigma, delta, lam) >= start - 1e-12 * (1 + abs(start))
+        assert np.linalg.norm(result.omega - closed) <= 1e-6
 
 
 # ------------------------------------------------------------ auxiliary update
