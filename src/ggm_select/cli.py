@@ -35,7 +35,7 @@ from .ggm import (
 from .nodes import read_score_dump, replay_scores, select_important
 from .pipeline import PipelineConfig, recovery_f1, run_pipeline
 from .scalar_prox import ProxProblem, oracle_threshold, prox_objective, solve_threshold
-from .surrogates import SurrogateSpec
+from .surrogates import SurrogateKind, SurrogateSpec
 
 log = logging.getLogger("ggm_select")
 
@@ -313,9 +313,8 @@ def cmd_score(args) -> int:
 
 
 def _add_surrogate_flags(parser) -> None:
-    parser.add_argument("--kind", choices=[
-        "lp", "geman", "laplace", "log", "logarithm", "etp", "identity",
-    ], default=None, help="surrogate kind (default: geman with epsilon=0.5)")
+    parser.add_argument("--kind", choices=[k.value for k in SurrogateKind], default=None,
+                        help="surrogate kind (default: geman with epsilon=0.5)")
     parser.add_argument("--param", action="append", metavar="NAME=VALUE",
                         help="surrogate parameter, repeatable")
 
@@ -350,10 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tau", type=float, default=0.1)
     solve.add_argument("--lam", type=float, default=1.0)
     solve.add_argument("--mode", choices=[m.value for m in GgmMode], default=GgmMode.IMPORTANT_ROWS.value)
-    solve.add_argument("--T", type=int, default=200, help="max outer sweeps")
-    solve.add_argument("--outer-tol", type=float, default=1e-7)
+    defaults = SolverOptions()
+    solve.add_argument("--T", type=int, default=defaults.T, help="max outer sweeps")
+    solve.add_argument("--outer-tol", type=float, default=defaults.outer_tol)
     solve.add_argument("--precision-method", choices=[m.value for m in PrecisionMethod],
-                       default=PrecisionMethod.EIGEN_CLOSED_FORM.value)
+                       default=defaults.precision_method.value)
     solve.add_argument("--out", required=True, help="output directory")
     _add_surrogate_flags(solve)
     solve.set_defaults(func=cmd_solve)

@@ -223,8 +223,14 @@ class SolverOptions:
                 raise ValueError(
                     f"solver option {name!r} must be {kind.__name__.lower()}, got {value!r}"
                 )
+            # JSON configs parse NaN and Infinity; a comparison, unlike
+            # math.isfinite, also takes an int too large for a float
+            if kind is Real and not -math.inf < value < math.inf:
+                raise ValueError(f"solver option {name!r} must be finite, got {value!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        if self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be >= 1")
         if self.eta <= 0 or self.inner_tol <= 0 or self.outer_tol <= 0:
             raise ValueError("eta, inner_tol and outer_tol must be > 0")
         if self.lam_growth < 1.0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .nodes import (
     sample_statistics,
     select_important,
 )
-from .surrogates import SurrogateSpec
+from .surrogates import SurrogateSpec, _number
 
 __all__ = [
     "SelectionResult",
@@ -233,7 +233,7 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
     return problem, SampleSet(values=values, names=names)
 
 
-_SOLVER_KEYS = {"T", "eta", "inner_tol", "inner_max_iter", "outer_tol", "precision_method", "lam_growth"}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 _CONFIG_KEYS = {
     "mode", "n", "h", "k_connected", "coupling", "m", "seed", "surrogate",
     "tau", "lambda", "solver", "selection", "dump", "beta1", "beta2",
@@ -324,13 +324,13 @@ class PipelineConfig:
             mode=payload["mode"],
             h=_config_value(payload, "h", _integer),
             surrogate=_config_value(payload, "surrogate", SurrogateSpec.from_config),
-            tau=_config_value(payload, "tau", float),
-            lam=_config_value(payload, "lambda", float),
+            tau=_config_value(payload, "tau", _number),
+            lam=_config_value(payload, "lambda", _number),
             selection_budget=(
                 _config_value(selection, "budget", _integer) if "budget" in selection else None
             ),
             selection_threshold=(
-                _config_value(selection, "threshold", float) if "threshold" in selection else None
+                _config_value(selection, "threshold", _number) if "threshold" in selection else None
             ),
             solver=SolverOptions(**solver_dict),
             ggm_mode=GgmMode(payload.get("ggm_mode", GgmMode.IMPORTANT_ROWS)),
@@ -342,7 +342,7 @@ class PipelineConfig:
                 kwargs[name] = _config_value(payload, name, _integer)
         for name in ("coupling", "beta1", "beta2"):
             if name in payload:
-                kwargs[name] = _config_value(payload, name, float)
+                kwargs[name] = _config_value(payload, name, _number)
         if "dump" in payload:
             kwargs["dump_dir"] = str(payload["dump"])
         return cls(**kwargs)
@@ -359,15 +359,8 @@ class PipelineConfig:
             "tau": self.tau,
             "lambda": self.lam,
             "seed": self.seed,
-            "solver": {
-                "T": self.solver.T,
-                "eta": self.solver.eta,
-                "inner_tol": self.solver.inner_tol,
-                "inner_max_iter": self.solver.inner_max_iter,
-                "outer_tol": self.solver.outer_tol,
-                "precision_method": self.solver.precision_method.value,
-                "lam_growth": self.solver.lam_growth,
-            },
+            "solver": {**asdict(self.solver),
+                       "precision_method": self.solver.precision_method.value},
             "ggm_mode": self.ggm_mode.value,
             "standardize": self.standardize,
         }

@@ -10,7 +10,8 @@ minimizer is either 0, the breakpoint itself, or the unique stationary point
 beyond it.  That stationary point is the fixed point of the shift map
 ``J1(x) = y - lam * g'(x)``, which is a contraction past the breakpoint; it
 is located by an Aitken-accelerated fixed-point iteration and the three
-candidates are compared directly.
+candidates are compared directly.  a0 is :func:`breakpoint_a0`, the closed
+form in each kind's :mod:`ggm_select.surrogates` entry, re-exported here.
 
 There is one implementation, :func:`solve_threshold_batch`, which solves a
 vector of inputs y that share lam and g in one array iteration; each element
@@ -32,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IterationLimitError, NumericalError
-from .surrogates import SurrogateKind, SurrogateSpec, eval_g, grad_g
+from .surrogates import SurrogateSpec, breakpoint_a0, eval_g, grad_g
 
 __all__ = [
     "ProxProblem",
@@ -91,37 +92,6 @@ def prox_objective(problem: ProxProblem, x) -> float:
     return 0.5 * (problem.y - np.asarray(x, dtype=float)) ** 2 + problem.lam * eval_g(
         problem.g, x
     )
-
-
-def breakpoint_a0(g: SurrogateSpec, lam: float) -> float:
-    """Largest x >= 0 with g''(x) = -1/lam, or 0 when none exists.
-
-    |g''| is decreasing for every supported kind, so the equation has at most
-    one positive root and admits a closed form per kind.
-    """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
-    kind, p = g.kind, g.params
-    if kind is SurrogateKind.IDENTITY:
-        return 0.0
-    if kind is SurrogateKind.LP:
-        q = p["p"]
-        return (lam * q * (1.0 - q)) ** (1.0 / (2.0 - q))
-    if kind is SurrogateKind.GEMAN:
-        e = p["epsilon"]
-        return max((2.0 * lam * e) ** (1.0 / 3.0) - e, 0.0)
-    if kind is SurrogateKind.LAPLACE:
-        gam = p["gamma"]
-        return gam * math.log(lam / gam**2) if lam > gam**2 else 0.0
-    if kind is SurrogateKind.LOG:
-        return max(math.sqrt(lam) - p["gamma"], 0.0)
-    if kind is SurrogateKind.LOGARITHM:
-        gam = p["gamma"]
-        return max(math.sqrt(lam / math.log(gam + 1.0)) - 1.0 / gam, 0.0)
-    # etp
-    gam = p["gamma"]
-    s = (1.0 - math.exp(-gam)) / (lam * gam**2)
-    return -math.log(s) / gam if s < 1.0 else 0.0
 
 
 @dataclass(frozen=True)

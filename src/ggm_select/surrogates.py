@@ -13,21 +13,25 @@ the plain sum of norms).  The catalogue:
     etp         (1 - exp(-gamma * x)) / (1 - exp(-gamma))
     identity    x   (the l1 reference; makes the group penalty the l2,1 norm)
 
-First and second derivatives are supplied analytically, the thresholding
-solver needs cheap exact g' and uses g'' for its breakpoint computation.
-All functions accept scalars or numpy arrays and are pure, so specs can be
-shared freely between threads.
+Each kind is one entry of the ``_KINDS`` table: its parameter and range,
+g with its analytic g' and g'', and the closed-form breakpoint a0 of the
+thresholding solver.  The public functions are lookups into that table
+through one domain check.  They accept scalars or numpy arrays and are
+pure, so specs can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
-__all__ = ["SurrogateKind", "SurrogateSpec", "eval_g", "grad_g", "second_deriv_g"]
+__all__ = ["SurrogateKind", "SurrogateSpec", "eval_g", "grad_g", "second_deriv_g",
+           "breakpoint_a0"]
 
 
 class SurrogateKind(str, Enum):
@@ -40,15 +44,82 @@ class SurrogateKind(str, Enum):
     IDENTITY = "identity"
 
 
-_REQUIRED_PARAMS = {
-    SurrogateKind.LP: ("p",),
-    SurrogateKind.GEMAN: ("epsilon",),
-    SurrogateKind.LAPLACE: ("gamma",),
-    SurrogateKind.LOG: ("gamma",),
-    SurrogateKind.LOGARITHM: ("gamma",),
-    SurrogateKind.ETP: ("gamma",),
-    SurrogateKind.IDENTITY: (),
+@dataclass(frozen=True)
+class _Kind:
+    """One kind: g, g', g'' of x and a0 of lam, each taking the parameter last.
+
+    ``rule`` is the error text when ``allowed(param)`` is false.
+    """
+
+    derivs: tuple
+    a0: Callable[..., float]
+    param: str | None = None
+    allowed: Callable[[float], bool] | None = None
+    rule: str = ""
+    # g' and g'' have a pole at x = 0 (lp), so they need x > 0
+    pole_at_zero: bool = False
+
+
+def _positive(param, g, dg, d2g, a0) -> _Kind:
+    return _Kind((g, dg, d2g), a0, param, lambda v: v > 0.0,
+                 "{kind} requires {param} > 0, got {value}")
+
+
+def _etp_a0(lam, gam):
+    s = (1.0 - math.exp(-gam)) / (lam * gam**2)
+    return -math.log(s) / gam if s < 1.0 else 0.0
+
+
+_KINDS = {
+    SurrogateKind.LP: _Kind(
+        (lambda x, q: x ** q,
+         lambda x, q: q * x ** (q - 1.0),
+         lambda x, q: q * (q - 1.0) * x ** (q - 2.0)),
+        lambda lam, q: (lam * q * (1.0 - q)) ** (1.0 / (2.0 - q)),
+        "p", lambda q: 0.0 < q < 1.0, "lp requires 0 < p < 1, got p={value}",
+        pole_at_zero=True),
+    SurrogateKind.GEMAN: _positive(
+        "epsilon",
+        lambda x, e: x / (x + e),
+        lambda x, e: e / (x + e) ** 2,
+        lambda x, e: -2.0 * e / (x + e) ** 3,
+        lambda lam, e: max((2.0 * lam * e) ** (1.0 / 3.0) - e, 0.0)),
+    SurrogateKind.LAPLACE: _positive(
+        "gamma",
+        lambda x, g: 1.0 - np.exp(-x / g),
+        lambda x, g: np.exp(-x / g) / g,
+        lambda x, g: -np.exp(-x / g) / g**2,
+        lambda lam, gam: gam * math.log(lam / gam**2) if lam > gam**2 else 0.0),
+    SurrogateKind.LOG: _positive(
+        "gamma",
+        lambda x, g: np.log(g + x),
+        lambda x, g: 1.0 / (g + x),
+        lambda x, g: -1.0 / (g + x) ** 2,
+        lambda lam, gam: max(math.sqrt(lam) - gam, 0.0)),
+    SurrogateKind.LOGARITHM: _positive(
+        "gamma",
+        lambda x, g: np.log(g * x + 1.0) / math.log(g + 1.0),
+        lambda x, g: g / ((g * x + 1.0) * math.log(g + 1.0)),
+        lambda x, g: -(g**2) / ((g * x + 1.0) ** 2 * math.log(g + 1.0)),
+        lambda lam, gam: max(math.sqrt(lam / math.log(gam + 1.0)) - 1.0 / gam, 0.0)),
+    SurrogateKind.ETP: _positive(
+        "gamma",
+        lambda x, g: (1.0 - np.exp(-g * x)) / (1.0 - math.exp(-g)),
+        lambda x, g: g * np.exp(-g * x) / (1.0 - math.exp(-g)),
+        lambda x, g: -(g**2) * np.exp(-g * x) / (1.0 - math.exp(-g)),
+        _etp_a0),
+    SurrogateKind.IDENTITY: _Kind((lambda x: x, np.ones_like, np.zeros_like), lambda lam: 0.0),
 }
+
+
+def _number(value) -> float:
+    """A JSON number as a float: a boolean or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("must be a number, got an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -65,24 +136,24 @@ class SurrogateSpec:
     def __post_init__(self):
         kind = SurrogateKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        required = _REQUIRED_PARAMS[kind]
-        extra = set(self.params) - set(required)
+        entry = _KINDS[kind]
+        name = entry.param
+        extra = set(self.params) - {name}
         if extra:
             raise ValueError(f"surrogate {kind.value!r} does not take {sorted(extra)}")
-        for name in required:
-            if name not in self.params:
-                raise ValueError(f"surrogate {kind.value!r} requires parameter {name!r}")
-            val = float(self.params[name])
-            if not math.isfinite(val):
-                raise ValueError(f"parameter {name}={val} must be finite")
-            object.__setattr__(self, "params", {**self.params, name: val})
-        if kind is SurrogateKind.LP and not 0.0 < self.params["p"] < 1.0:
-            raise ValueError(f"lp requires 0 < p < 1, got p={self.params['p']}")
-        if kind is SurrogateKind.GEMAN and self.params["epsilon"] <= 0.0:
-            raise ValueError(f"geman requires epsilon > 0, got {self.params['epsilon']}")
-        if kind in (SurrogateKind.LAPLACE, SurrogateKind.LOG, SurrogateKind.LOGARITHM,
-                    SurrogateKind.ETP) and self.params["gamma"] <= 0.0:
-            raise ValueError(f"{kind.value} requires gamma > 0, got {self.params['gamma']}")
+        if name is None:
+            return
+        if name not in self.params:
+            raise ValueError(f"surrogate {kind.value!r} requires parameter {name!r}")
+        try:
+            val = _number(self.params[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"parameter {name} {exc}") from None
+        if not math.isfinite(val):
+            raise ValueError(f"parameter {name}={val} must be finite")
+        if not entry.allowed(val):
+            raise ValueError(entry.rule.format(kind=kind.value, param=name, value=val))
+        object.__setattr__(self, "params", {name: val})
 
     @classmethod
     def lp(cls, p: float) -> "SurrogateSpec":
@@ -123,28 +194,24 @@ class SurrogateSpec:
         return {"kind": self.kind.value, "params": dict(self.params)}
 
 
+def _lookup(spec: SurrogateSpec, x, order: int):
+    """g (order 0), g' (1) or g'' (2) of the spec at x; a 0-d x gives a float."""
+    x = np.asarray(x, dtype=float)
+    entry = _KINDS[spec.kind]
+    if order and entry.pole_at_zero:
+        if np.any(x <= 0):
+            noun = ("derivative", "curvature")[order - 1]
+            raise ValueError(f"{spec.kind.value} {noun} is singular at 0; needs x > 0")
+    elif np.any(x < 0):
+        raise ValueError("surrogate derivatives are defined on x >= 0" if order
+                         else "surrogates are defined on x >= 0")
+    out = entry.derivs[order](x, *spec.params.values())
+    return out if out.ndim else float(out)
+
+
 def eval_g(spec: SurrogateSpec, x):
     """Evaluate g(x) for x >= 0 (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("surrogates are defined on x >= 0")
-    kind, p = spec.kind, spec.params
-    if kind is SurrogateKind.LP:
-        out = x ** p["p"]
-    elif kind is SurrogateKind.GEMAN:
-        out = x / (x + p["epsilon"])
-    elif kind is SurrogateKind.LAPLACE:
-        out = 1.0 - np.exp(-x / p["gamma"])
-    elif kind is SurrogateKind.LOG:
-        out = np.log(p["gamma"] + x)
-    elif kind is SurrogateKind.LOGARITHM:
-        out = np.log(p["gamma"] * x + 1.0) / math.log(p["gamma"] + 1.0)
-    elif kind is SurrogateKind.ETP:
-        g = p["gamma"]
-        out = (1.0 - np.exp(-g * x)) / (1.0 - math.exp(-g))
-    else:
-        out = x
-    return out if out.ndim else float(out)
+    return _lookup(spec, x, 0)
 
 
 def grad_g(spec: SurrogateSpec, x):
@@ -153,32 +220,7 @@ def grad_g(spec: SurrogateSpec, x):
     Defined for x > 0; every kind except lp is also finite at x = 0 and
     accepts it (lp has a pole there and raises).
     """
-    x = np.asarray(x, dtype=float)
-    kind, p = spec.kind, spec.params
-    if kind is SurrogateKind.LP:
-        if np.any(x <= 0):
-            raise ValueError("lp derivative is singular at 0; needs x > 0")
-    elif np.any(x < 0):
-        raise ValueError("surrogate derivatives are defined on x >= 0")
-    if kind is SurrogateKind.LP:
-        out = p["p"] * x ** (p["p"] - 1.0)
-    elif kind is SurrogateKind.GEMAN:
-        e = p["epsilon"]
-        out = e / (x + e) ** 2
-    elif kind is SurrogateKind.LAPLACE:
-        g = p["gamma"]
-        out = np.exp(-x / g) / g
-    elif kind is SurrogateKind.LOG:
-        out = 1.0 / (p["gamma"] + x)
-    elif kind is SurrogateKind.LOGARITHM:
-        g = p["gamma"]
-        out = g / ((g * x + 1.0) * math.log(g + 1.0))
-    elif kind is SurrogateKind.ETP:
-        g = p["gamma"]
-        out = g * np.exp(-g * x) / (1.0 - math.exp(-g))
-    else:
-        out = np.ones_like(x)
-    return out if out.ndim else float(out)
+    return _lookup(spec, x, 1)
 
 
 def second_deriv_g(spec: SurrogateSpec, x):
@@ -186,30 +228,15 @@ def second_deriv_g(spec: SurrogateSpec, x):
 
     Same domain rules as :func:`grad_g`.
     """
-    x = np.asarray(x, dtype=float)
-    kind, p = spec.kind, spec.params
-    if kind is SurrogateKind.LP:
-        if np.any(x <= 0):
-            raise ValueError("lp curvature is singular at 0; needs x > 0")
-    elif np.any(x < 0):
-        raise ValueError("surrogate derivatives are defined on x >= 0")
-    if kind is SurrogateKind.LP:
-        q = p["p"]
-        out = q * (q - 1.0) * x ** (q - 2.0)
-    elif kind is SurrogateKind.GEMAN:
-        e = p["epsilon"]
-        out = -2.0 * e / (x + e) ** 3
-    elif kind is SurrogateKind.LAPLACE:
-        g = p["gamma"]
-        out = -np.exp(-x / g) / g**2
-    elif kind is SurrogateKind.LOG:
-        out = -1.0 / (p["gamma"] + x) ** 2
-    elif kind is SurrogateKind.LOGARITHM:
-        g = p["gamma"]
-        out = -(g**2) / ((g * x + 1.0) ** 2 * math.log(g + 1.0))
-    elif kind is SurrogateKind.ETP:
-        g = p["gamma"]
-        out = -(g**2) * np.exp(-g * x) / (1.0 - math.exp(-g))
-    else:
-        out = np.zeros_like(x)
-    return out if out.ndim else float(out)
+    return _lookup(spec, x, 2)
+
+
+def breakpoint_a0(g: SurrogateSpec, lam: float) -> float:
+    """Largest x >= 0 with g''(x) = -1/lam, or 0 when none exists.
+
+    |g''| is decreasing for every supported kind, so the equation has at most
+    one positive root, and each kind's entry gives it in closed form.
+    """
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
+    return _KINDS[g.kind].a0(lam, *g.params.values())

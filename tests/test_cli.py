@@ -257,6 +257,26 @@ _MALFORMED_INPUTS = {
     "seed_float": {"seed": 3.0},
     "standardize_string": {"standardize": "no"},
     "standardize_int": {"standardize": 1},
+    "gradient_inner_max_iter_zero": {
+        "solver": {"T": 2, "precision_method": "gradient", "inner_max_iter": 0},
+    },
+    "solver_inner_max_iter_negative": {"solver": {"inner_max_iter": -3}},
+    "solver_eta_nan": {"solver": {"eta": float("nan")}},
+    "solver_inner_tol_inf": {"solver": {"inner_tol": float("inf")}},
+    "solver_outer_tol_nan": {"solver": {"outer_tol": float("nan")}},
+    "solver_lam_growth_inf": {"solver": {"lam_growth": float("inf")}},
+    "tau_string": {"tau": "0.1"},
+    "lambda_string": {"lambda": "1.0"},
+    "coupling_bool": {"coupling": True},
+    "beta1_string": {"beta1": "0.85"},
+    "beta2_bool": {"beta2": False},
+    "threshold_string": {"selection": {"threshold": "0.1"}},
+    "surrogate_param_string": {"surrogate": {"kind": "geman", "params": {"epsilon": "0.5"}}},
+    "surrogate_param_bool": {"surrogate": {"kind": "geman", "params": {"epsilon": True}}},
+    "tau_int_too_large_for_float": {"tau": 10**400},
+    "surrogate_param_int_too_large_for_float": {
+        "surrogate": {"kind": "geman", "params": {"epsilon": 10**400}},
+    },
     "cov_json_without_n": {"data": [1.0, 0.0, 0.0, 1.0]},
     "cov_json_list": [1.0, 0.0, 0.0, 1.0],
 }

@@ -376,3 +376,18 @@ def test_config_file_and_round_trip(tmp_path):
     config = PipelineConfig.from_json_file(path)
     rebuilt = PipelineConfig.from_json_dict(config.to_json_dict())
     assert rebuilt == config
+
+
+def test_config_round_trip_keeps_every_solver_option():
+    solver = {"T": 17, "eta": 0.25, "inner_tol": 1e-9, "inner_max_iter": 321,
+              "outer_tol": 1e-5, "precision_method": "gradient", "lam_growth": 1.5}
+    defaults = SolverOptions()
+    assert set(solver) == set(vars(defaults))
+    assert all(SolverOptions(**{name: value}) != defaults for name, value in solver.items())
+    config = PipelineConfig.from_json_dict(_payload(solver=solver))
+    assert config.solver.precision_method is PrecisionMethod.GRADIENT_ASCENT
+    written = config.to_json_dict()
+    assert written["solver"] == solver
+    assert type(written["solver"]["precision_method"]) is str
+    assert json.loads(json.dumps(written))["solver"] == solver
+    assert PipelineConfig.from_json_dict(written) == config
