@@ -155,12 +155,13 @@ def cmd_solve(args) -> int:
     else:
         raise ValueError("supply --important or --h with --mean")
 
+    surrogate = _surrogate_from_args(args)
     problem = GgmProblem(
         sigma_hat=sigma,
         important_set=important,
         tau=args.tau,
         lam=args.lam,
-        g=_surrogate_from_args(args),
+        g=surrogate,
         mode=mode,
     )
     opts = SolverOptions(
@@ -182,11 +183,9 @@ def cmd_solve(args) -> int:
             "important_set": list(important),
             "tau": args.tau,
             "lambda": args.lam,
-            "surrogate": _surrogate_from_args(args).to_config(),
+            "surrogate": surrogate.to_config(),
             "mode": mode.value,
-            "T": args.T,
-            "outer_tol": args.outer_tol,
-            "precision_method": args.precision_method,
+            "solver": opts.to_json_dict(),
         },
         seed=args.seed,
         inputs=inputs,
@@ -246,9 +245,9 @@ def _simulate_one(config_payload: dict, seed: int, out_dir: str, config_path: st
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     payload = json.loads(config_path.read_text())
-    if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
     # validate before launching any runs so flag errors surface immediately
     base_seed = PipelineConfig.from_json_dict(payload).seed
 
@@ -263,7 +262,8 @@ def cmd_simulate(args) -> int:
         runs = [(seed, str(out_root))]
 
     if args.jobs > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the default fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(runs))) as pool:
             futures = [
                 pool.submit(_simulate_one, payload, seed, out_dir, str(config_path))
                 for seed, out_dir in runs
@@ -322,7 +322,8 @@ def _add_surrogate_flags(parser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed recorded and used where relevant")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for multi-seed sweeps")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="parallel workers for multi-seed sweeps, at most one per seed")
     common.add_argument("--quiet", action="store_true", help="suppress summary lines on stdout")
 
     parser = argparse.ArgumentParser(
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     prox = sub.add_parser("prox", parents=[common], help="evaluate the scalar threshold operator")
     prox.add_argument("--y", type=float, required=True, help="input value (nonnegative)")
     prox.add_argument("--lam", type=float, required=True, help="penalty weight")
-    prox.add_argument("--tol", type=float, default=1e-10)
+    prox.add_argument("--tol", type=float, default=ProxProblem.tol)
     prox.add_argument("--oracle", action="store_true", help="also report a grid-search reference")
     prox.add_argument("--oracle-step", type=float, default=1e-6)
     _add_surrogate_flags(prox)
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     score = sub.add_parser("score", parents=[common], help="replay a score dump into samples.csv")
     score.add_argument("--dump", required=True, help="directory of step records")
-    score.add_argument("--beta1", type=float, default=0.85)
-    score.add_argument("--beta2", type=float, default=0.85)
+    score.add_argument("--beta1", type=float, default=PipelineConfig.beta1)
+    score.add_argument("--beta2", type=float, default=PipelineConfig.beta2)
     score.add_argument("--out", required=True, help="output CSV path")
     score.set_defaults(func=cmd_score)
 

@@ -40,15 +40,16 @@ reports can be shared freely across threads.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
+from ._inputs import integer, number, read_object
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
@@ -137,12 +138,23 @@ class GgmProblem:
             raise ValueError("important_rows mode needs a nonempty important set")
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        _check_lam(self.lam)
 
     @property
     def n(self) -> int:
         return self.sigma_hat.shape[0]
+
+    def _with_lam(self, lam: float) -> "GgmProblem":
+        """This problem with another ``lam``; the covariance is not checked again."""
+        _check_lam(lam)
+        grown = copy.copy(self)
+        object.__setattr__(grown, "lam", lam)
+        return grown
+
+
+def _check_lam(lam) -> None:
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -215,26 +227,31 @@ class SolverOptions:
     lam_growth: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "precision_method", PrecisionMethod(self.precision_method))
-        for name, kind in (("T", Integral), ("inner_max_iter", Integral), ("eta", Real),
-                           ("inner_tol", Real), ("outer_tol", Real), ("lam_growth", Real)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(
-                    f"solver option {name!r} must be {kind.__name__.lower()}, got {value!r}"
-                )
-            # JSON configs parse NaN and Infinity; a comparison, unlike
-            # math.isfinite, also takes an int too large for a float
-            if kind is Real and not -math.inf < value < math.inf:
-                raise ValueError(f"solver option {name!r} must be finite, got {value!r}")
+        for name, value in read_object(vars(self), "solver", _SOLVER_READERS).items():
+            object.__setattr__(self, name, value)
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
-        if self.eta <= 0 or self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("eta, inner_tol and outer_tol must be > 0")
-        if self.lam_growth < 1.0:
-            raise ValueError("lam_growth must be >= 1")
+        # JSON configs parse NaN and Infinity
+        if not all(0.0 < v < math.inf for v in (self.eta, self.inner_tol, self.outer_tol)):
+            raise ValueError("eta, inner_tol and outer_tol must be finite and > 0")
+        if not 1.0 <= self.lam_growth < math.inf:
+            raise ValueError("lam_growth must be finite and >= 1")
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "SolverOptions":
+        """Build from a config's ``solver`` object; unknown keys are refused."""
+        return cls(**read_object(payload, "solver", _SOLVER_READERS))
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "precision_method": self.precision_method.value}
+
+
+_SOLVER_READERS = {
+    "T": integer, "eta": number, "inner_tol": number, "inner_max_iter": integer,
+    "outer_tol": number, "precision_method": PrecisionMethod, "lam_growth": number,
+}
 
 
 @dataclass(frozen=True)
@@ -482,7 +499,7 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
             converged = True
             break
         if opts.lam_growth != 1.0:
-            current = replace(current, lam=current.lam * opts.lam_growth)
+            current = current._with_lam(current.lam * opts.lam_growth)
 
     return SolverReport(
         omega_star=precision,
@@ -498,14 +515,12 @@ def load_covariance(path) -> np.ndarray:
     """Read a covariance matrix from headerless CSV or JSON {"n", "data"}."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = json.loads(path.read_text())
-        if not isinstance(payload, dict) or not {"n", "data"} <= payload.keys():
-            raise ValueError('covariance JSON must be an object with keys "n" and "data"')
-        try:
-            n = int(payload["n"])
-            data = np.asarray(payload["data"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"covariance JSON: bad 'n' or 'data': {exc}") from exc
+        payload = read_object(
+            json.loads(path.read_text()), "covariance JSON",
+            {"n": integer, "data": lambda data: np.asarray(data, dtype=float)},
+            required=("n", "data"), closed=False,
+        )
+        n, data = payload["n"], payload["data"]
         if data.size != n * n:
             raise ValueError(f"covariance JSON: expected {n * n} values, got {data.size}")
         return data.reshape(n, n)

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._inputs import integer, read_object
 from .errors import NumericalError
 
 __all__ = [
@@ -447,38 +448,38 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
     return SampleSet(values=rows, names=layout.node_names(), layout=layout)
 
 
-_RECORD_KEYS = {"step", "layer_id", "tensor", "values", "grads"}
+def _vector(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+# records are open objects: keys without a reader are ignored
+_RECORD_READERS = {
+    "step": integer, "layer_id": integer, "tensor": str,
+    "index": lambda index: None if index is None else integer(index),
+    "values": _vector, "grads": _vector,
+}
 
 
 def _parse_record(record, where: str):
-    if not isinstance(record, dict):
-        raise ValueError(f"{where}: record must be a JSON object")
-    missing = _RECORD_KEYS - set(record)
-    if missing:
-        raise ValueError(f"{where}: missing keys {sorted(missing)}")
-    kind = record["tensor"]
-    if kind not in (PAIR_A, PAIR_B, BIAS):
-        raise ValueError(f"{where}: tensor must be 'A', 'B' or 'b', got {kind!r}")
-    index = record.get("index")
-    if kind != BIAS and index is None:
-        raise ValueError(f"{where}: tensor {kind} needs an 'index' field")
+    read = read_object(record, where, _RECORD_READERS, closed=False,
+                       required=("step", "layer_id", "tensor", "values", "grads"))
     try:
-        key = TensorKey(int(record["layer_id"]), kind, index)
-        step = int(record["step"])
-        values = np.asarray(record["values"], dtype=float)
-        grads = np.asarray(record["grads"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        key = TensorKey(read["layer_id"], read["tensor"], read.get("index"))
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+    values, grads = read["values"], read["grads"]
     if values.ndim != 1 or values.shape != grads.shape:
         raise ValueError(f"{where}: values/grads must be equal-length 1-D arrays")
-    return step, key, values, grads
+    return read["step"], key, values, grads
 
 
 def read_score_dump(dump_dir):
     """Load a dump directory into the step-stream form used by replay_scores.
 
     Every ``*.json`` file holds one record object or a list of them; records
-    are pooled across files and grouped by step (ascending).  Malformed
+    are pooled across files and grouped by step (ascending).  ``step``,
+    ``layer_id`` and ``index`` must be JSON integers (a bias ``index`` may
+    be absent or null), and keys without a reader are ignored.  Malformed
     records raise ValueError naming the file and record position.
     """
     dump_dir = Path(dump_dir)

@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._inputs import boolean, integer, number, read_object
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -49,7 +49,7 @@ from .nodes import (
     sample_statistics,
     select_important,
 )
-from .surrogates import SurrogateSpec, _number
+from .surrogates import SurrogateSpec
 
 __all__ = [
     "SelectionResult",
@@ -233,33 +233,21 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
     return problem, SampleSet(values=values, names=names)
 
 
-_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
-_CONFIG_KEYS = {
-    "mode", "n", "h", "k_connected", "coupling", "m", "seed", "surrogate",
-    "tau", "lambda", "solver", "selection", "dump", "beta1", "beta2",
-    "ggm_mode", "standardize",
+def _selection(payload) -> dict:
+    chosen = read_object(payload, "selection", {"budget": integer, "threshold": number})
+    return {"selection_budget": chosen.get("budget"),
+            "selection_threshold": chosen.get("threshold")}
+
+
+# config key -> reader; a reader's result goes to the field of the same name,
+# except where _CONFIG_FIELDS renames it ("selection" fills two fields)
+_CONFIG_READERS = {
+    "mode": str, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": number,
+    "lambda": number, "selection": _selection, "solver": SolverOptions.from_json_dict,
+    "n": integer, "k_connected": integer, "coupling": number, "m": integer, "seed": integer,
+    "dump": str, "beta1": number, "beta2": number, "ggm_mode": GgmMode, "standardize": boolean,
 }
-
-
-def _config_value(payload: dict, key: str, convert):
-    """``convert(payload[key])``; a value it rejects raises ValueError naming the key."""
-    try:
-        return convert(payload[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """A JSON integer as is: a float or a boolean is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"must be true or false, got {value!r}")
-    return value
+_CONFIG_FIELDS = {"lambda": "lam", "dump": "dump_dir"}
 
 
 @dataclass(frozen=True)
@@ -305,46 +293,18 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "PipelineConfig":
-        unknown = set(payload) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name in ("mode", "h", "surrogate", "tau", "lambda", "selection"):
-            if name not in payload:
-                raise ValueError(f"config missing required key {name!r}")
-        selection = payload["selection"]
-        if not isinstance(selection, dict) or set(selection) not in ({"budget"}, {"threshold"}):
-            raise ValueError("selection must be {'budget': int} or {'threshold': float}")
-        solver_dict = payload.get("solver", {})
-        if not isinstance(solver_dict, dict):
-            raise ValueError("config key 'solver' must be a JSON object")
-        unknown_solver = set(solver_dict) - _SOLVER_KEYS
-        if unknown_solver:
-            raise ValueError(f"unknown solver keys: {sorted(unknown_solver)}")
-        kwargs = dict(
-            mode=payload["mode"],
-            h=_config_value(payload, "h", _integer),
-            surrogate=_config_value(payload, "surrogate", SurrogateSpec.from_config),
-            tau=_config_value(payload, "tau", _number),
-            lam=_config_value(payload, "lambda", _number),
-            selection_budget=(
-                _config_value(selection, "budget", _integer) if "budget" in selection else None
-            ),
-            selection_threshold=(
-                _config_value(selection, "threshold", _number) if "threshold" in selection else None
-            ),
-            solver=SolverOptions(**solver_dict),
-            ggm_mode=GgmMode(payload.get("ggm_mode", GgmMode.IMPORTANT_ROWS)),
-        )
-        if "standardize" in payload:
-            kwargs["standardize"] = _config_value(payload, "standardize", _boolean)
-        for name in ("seed", "n", "k_connected", "m"):
-            if name in payload:
-                kwargs[name] = _config_value(payload, name, _integer)
-        for name in ("coupling", "beta1", "beta2"):
-            if name in payload:
-                kwargs[name] = _config_value(payload, name, _number)
-        if "dump" in payload:
-            kwargs["dump_dir"] = str(payload["dump"])
+        """Read a config object with one reader per key (``_CONFIG_READERS``).
+
+        Integer keys take JSON integers only and number keys JSON numbers
+        only (never a boolean or a string); ``selection``, ``solver`` and
+        ``surrogate`` are objects read the same way.  Unknown keys, missing
+        required keys and values of the wrong type raise ValueError naming
+        the key.
+        """
+        read = read_object(payload, "config", _CONFIG_READERS,
+                           required=("mode", "h", "surrogate", "tau", "lambda", "selection"))
+        kwargs = {_CONFIG_FIELDS.get(key, key): value for key, value in read.items()}
+        kwargs.update(kwargs.pop("selection"))
         return cls(**kwargs)
 
     @classmethod
@@ -359,8 +319,7 @@ class PipelineConfig:
             "tau": self.tau,
             "lambda": self.lam,
             "seed": self.seed,
-            "solver": {**asdict(self.solver),
-                       "precision_method": self.solver.precision_method.value},
+            "solver": self.solver.to_json_dict(),
             "ggm_mode": self.ggm_mode.value,
             "standardize": self.standardize,
         }

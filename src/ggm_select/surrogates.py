@@ -26,9 +26,10 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Real
 
 import numpy as np
+
+from ._inputs import number, read_object
 
 __all__ = ["SurrogateKind", "SurrogateSpec", "eval_g", "grad_g", "second_deriv_g",
            "breakpoint_a0"]
@@ -112,16 +113,6 @@ _KINDS = {
 }
 
 
-def _number(value) -> float:
-    """A JSON number as a float: a boolean or a string is refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError("must be a number, got an integer too large for a float") from None
-
-
 @dataclass(frozen=True)
 class SurrogateSpec:
     """A surrogate kind together with its validated parameters.
@@ -137,23 +128,15 @@ class SurrogateSpec:
         kind = SurrogateKind(self.kind)
         object.__setattr__(self, "kind", kind)
         entry = _KINDS[kind]
-        name = entry.param
-        extra = set(self.params) - {name}
-        if extra:
-            raise ValueError(f"surrogate {kind.value!r} does not take {sorted(extra)}")
-        if name is None:
-            return
-        if name not in self.params:
-            raise ValueError(f"surrogate {kind.value!r} requires parameter {name!r}")
-        try:
-            val = _number(self.params[name])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"parameter {name} {exc}") from None
-        if not math.isfinite(val):
-            raise ValueError(f"parameter {name}={val} must be finite")
-        if not entry.allowed(val):
-            raise ValueError(entry.rule.format(kind=kind.value, param=name, value=val))
-        object.__setattr__(self, "params", {name: val})
+        readers = {} if entry.param is None else {entry.param: number}
+        params = read_object(self.params, f"{kind.value} parameter", readers,
+                             required=tuple(readers))
+        for name, val in params.items():
+            if not math.isfinite(val):
+                raise ValueError(f"parameter {name}={val} must be finite")
+            if not entry.allowed(val):
+                raise ValueError(entry.rule.format(kind=kind.value, param=name, value=val))
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def lp(cls, p: float) -> "SurrogateSpec":
@@ -185,10 +168,10 @@ class SurrogateSpec:
 
     @classmethod
     def from_config(cls, config: dict) -> "SurrogateSpec":
-        """Build from ``{"kind": <name>, "params": {...}}``."""
-        if "kind" not in config:
-            raise ValueError("surrogate config needs a 'kind' key")
-        return cls(SurrogateKind(config["kind"]), dict(config.get("params", {})))
+        """Build from ``{"kind": <name>, "params": {...}}``; other keys are refused."""
+        read = read_object(config, "surrogate", {"kind": SurrogateKind, "params": dict},
+                           required=("kind",))
+        return cls(read["kind"], read.get("params", {}))
 
     def to_config(self) -> dict:
         return {"kind": self.kind.value, "params": dict(self.params)}

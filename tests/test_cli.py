@@ -1,13 +1,17 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ggm_select.cli import main
+from ggm_select import cli
+from ggm_select.cli import build_parser, main
 from ggm_select.nodes import SampleSet, sample_statistics
+from ggm_select.pipeline import PipelineConfig
+from ggm_select.scalar_prox import ProxProblem
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -279,6 +283,12 @@ _MALFORMED_INPUTS = {
     },
     "cov_json_without_n": {"data": [1.0, 0.0, 0.0, 1.0]},
     "cov_json_list": [1.0, 0.0, 0.0, 1.0],
+    "cov_json_n_float": {"n": 2.9, "data": [1.0, 0.0, 0.0, 1.0]},
+    "cov_json_n_string": {"n": "2", "data": [1.0, 0.0, 0.0, 1.0]},
+    "cov_json_n_bool": {"n": True, "data": [1.0]},
+    "surrogate_unknown_key": {
+        "surrogate": {"kind": "geman", "params": {"epsilon": 0.5}, "scale": 2.0},
+    },
 }
 
 
@@ -294,6 +304,64 @@ def test_malformed_config_or_covariance_exits_2(tmp_path, capsys, case):
         argv = ["simulate", "--config", str(_small_config(tmp_path, **content)), "--out", out]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):
+    started = []
+
+    class InlineExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs each call inline."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    config = _small_config(tmp_path)
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "sweep"),
+               "--seeds", "1,2", "--jobs", "8", "--quiet"])
+    assert rc == 0
+    assert started == [2]
+    assert (tmp_path / "sweep" / "seed_2" / "selection.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_simulate_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    config = _small_config(tmp_path)
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"),
+               "--seeds", "1,2", "--jobs", jobs])
+    assert rc == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_solve_manifest_records_the_solver_block(tmp_path):
+    cov = tmp_path / "cov.csv"
+    _write_cov(cov, np.eye(3))
+    out = tmp_path / "run"
+    rc = main(["solve", "--cov", str(cov), "--important", "0", "--T", "7",
+               "--precision-method", "gradient", "--out", str(out), "--quiet"])
+    assert rc == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["solver"] == {"T": 7, "eta": 0.1, "inner_tol": 1e-8, "inner_max_iter": 5000,
+                                "outer_tol": 1e-7, "precision_method": "gradient",
+                                "lam_growth": 1.0}
+
+
+def test_flag_defaults_come_from_the_library():
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert sub["prox"].get_default("tol") == ProxProblem.tol
+    assert sub["score"].get_default("beta1") == PipelineConfig.beta1
+    assert sub["score"].get_default("beta2") == PipelineConfig.beta2
 
 
 # ----------------------------------------------------------------------- score
@@ -344,6 +412,35 @@ def test_score_malformed_record_names_file(tmp_path, capsys):
     rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "broken.json" in capsys.readouterr().err
+
+
+def _pair_dump_records():
+    """One layer with pairs 0 and 1 and a bias, at step 1, in one file."""
+    records = [{"step": 1, "layer_id": 1, "tensor": tensor, "index": index,
+                "values": [1.0, 2.0], "grads": [0.5, -0.25]}
+               for index in (0, 1) for tensor in ("A", "B")]
+    return records + [{"step": 1, "layer_id": 1, "tensor": "b", "values": [3.0], "grads": [0.1]}]
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("step", 1, 1.5),
+    ("layer_id", 1, True),
+    ("index", 0, 0.9),
+    ("index", 1, "1"),
+])
+def test_score_refuses_a_record_value_that_is_not_an_integer(tmp_path, capsys, key, old, new):
+    records = _pair_dump_records()
+    changed = [pos for pos, record in enumerate(records) if record.get(key) == old]
+    for pos in changed:
+        records[pos][key] = new
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "steps.json").write_text(json.dumps(records))
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert f"steps.json: record {changed[0]} key {key!r}" in err
 
 
 # ------------------------------------------------------------------ round trip

@@ -392,6 +392,27 @@ def test_solver_continuation_tightens_copy_gap():
     assert gap_grown <= gap_plain + 1e-8
 
 
+def test_continuation_does_not_recheck_the_covariance(monkeypatch):
+    problem = _problem(np.random.default_rng(45), 30, tau=0.5, lam=0.5)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    report = solve_ggm(problem, SolverOptions(T=40, lam_growth=1.2, outer_tol=1e-300))
+    assert report.iterations == 40
+    assert calls == []
+
+
+def test_continuation_refuses_a_lam_grown_past_finite():
+    problem = _problem(np.random.default_rng(45), 6, tau=0.5, lam=1e300)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        solve_ggm(problem, SolverOptions(T=5, lam_growth=1e10, outer_tol=1e-300))
+
+
 def test_report_json_fields():
     rng = np.random.default_rng(46)
     problem = _problem(rng, 5, tau=0.2)

@@ -510,6 +510,18 @@ def test_dump_pair_tensor_needs_index(tmp_path):
         read_score_dump(dump)
 
 
+def test_dump_bias_index_may_be_null(tmp_path):
+    dump = _write_dump(tmp_path, {
+        "r.json": [
+            _record(0, 0, "A", [1.0], [2.0], index=0),
+            _record(0, 0, "B", [1.0], [2.0], index=0),
+            {**_record(0, 0, "b", [1.0], [2.0]), "index": None},
+        ],
+    })
+    (step,) = read_score_dump(dump)
+    assert TensorKey(0, "b") in step
+
+
 def test_dump_duplicate_tensor_rejected(tmp_path):
     dump = _write_dump(tmp_path, {
         "r.json": [
