@@ -5,8 +5,10 @@ here.  ``json`` gives integers as ``int``, other numbers as ``float`` and
 ``true``/``false`` as ``bool`` (itself an ``int``).  A reader takes such a
 value as it was written: an integer field refuses a float, a boolean or a
 string instead of truncating it, a number field refuses a boolean or a
-string instead of converting it.  :func:`read_object` applies one reader
-per key of a JSON object and names the object and the key in every error.
+string instead of converting it, a number array holds numbers only and a
+string field refuses anything but a string.  :func:`read_object` applies
+one reader per key of a JSON object and names the object and the key in
+every error.
 """
 
 from __future__ import annotations
@@ -29,6 +31,25 @@ def number(value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError("must be a number, got an integer too large for a float") from None
+
+
+def number_list(value) -> list:
+    """A JSON array of numbers as a list of floats; each element as in :func:`number`."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be an array of numbers, got {type(value).__name__}")
+    values = []
+    for index, item in enumerate(value):
+        try:
+            values.append(number(item))
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"element {index} {exc}") from None
+    return values
+
+
+def string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
 
 
 def boolean(value) -> bool:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import boolean, integer, number, read_object
+from ._inputs import boolean, integer, number, read_object, string
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -242,10 +242,10 @@ def _selection(payload) -> dict:
 # config key -> reader; a reader's result goes to the field of the same name,
 # except where _CONFIG_FIELDS renames it ("selection" fills two fields)
 _CONFIG_READERS = {
-    "mode": str, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": number,
+    "mode": string, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": number,
     "lambda": number, "selection": _selection, "solver": SolverOptions.from_json_dict,
     "n": integer, "k_connected": integer, "coupling": number, "m": integer, "seed": integer,
-    "dump": str, "beta1": number, "beta2": number, "ggm_mode": GgmMode, "standardize": boolean,
+    "dump": string, "beta1": number, "beta2": number, "ggm_mode": GgmMode, "standardize": boolean,
 }
 _CONFIG_FIELDS = {"lambda": "lam", "dump": "dump_dir"}
 

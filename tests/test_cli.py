@@ -289,6 +289,11 @@ _MALFORMED_INPUTS = {
     "surrogate_unknown_key": {
         "surrogate": {"kind": "geman", "params": {"epsilon": 0.5}, "scale": 2.0},
     },
+    "dump_null": {"dump": None},
+    "dump_int": {"dump": 5},
+    "cov_json_data_strings_and_bools": {"n": 2, "data": ["1", "0", False, True]},
+    "cov_json_data_nested": {"n": 2, "data": [[1.0, 0.0], [0.0, 1.0]]},
+    "cov_json_data_object": {"n": 1, "data": {"0": 1.0}},
 }
 
 
@@ -304,6 +309,21 @@ def test_malformed_config_or_covariance_exits_2(tmp_path, capsys, case):
         argv = ["simulate", "--config", str(_small_config(tmp_path, **content)), "--out", out]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dump", [None, 5, ["run"]])
+def test_config_dump_must_be_a_string(tmp_path, capsys, dump):
+    config = _small_config(tmp_path, mode="dump", dump=dump)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "config key 'dump'" in capsys.readouterr().err
+
+
+def test_covariance_json_data_names_the_bad_element(tmp_path, capsys):
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"n": 2, "data": [1.0, 0.0, "0", 1.0]}))
+    rc = main(["solve", "--cov", str(cov), "--important", "0", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "covariance JSON key 'data': element 2 must be a number" in capsys.readouterr().err
 
 
 def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):

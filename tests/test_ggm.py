@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from ggm_select.ggm import (
     update_precision,
     update_precision_eig,
 )
+from ggm_select.nodes import sample_statistics, select_important
+from ggm_select.pipeline import PipelineConfig, make_planted
 from ggm_select.scalar_prox import ProxProblem, solve_threshold
 from ggm_select.surrogates import SurrogateSpec
 
@@ -564,3 +568,171 @@ def test_covariance_rejects_length_mismatch_json(tmp_path):
     path.write_text(json.dumps({"n": 2, "data": [1.0, 2.0, 3.0]}))
     with pytest.raises(ValueError):
         load_covariance(path)
+
+
+# ------------------------------------------------------- accelerated sweeps
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+
+def _plain_sweep(problem, omega):
+    """One sweep of the unaccelerated map from the Delta that belongs to Omega."""
+    delta = update_auxiliary(omega, problem).delta
+    return update_precision_eig(problem.sigma_hat, delta, problem.lam).omega
+
+
+def _rank_deficient_problem(seed, mode, n=30, samples=12):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, n))
+    x -= x.mean(axis=0)
+    sigma = x.T @ x / samples
+    return GgmProblem(0.5 * (sigma + sigma.T), (0, 1, 2), 0.1, 1.0,
+                      SurrogateSpec.geman(0.5), mode=mode)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_reference_config_converges_well_inside_T(n):
+    config = replace(PipelineConfig.from_json_file(REFERENCE_CONFIG), n=n, seed=1)
+    _, samples = make_planted(config.n, config.h, config.k_connected, config.coupling,
+                              config.m, config.seed)
+    mean, cov = sample_statistics(samples)
+    problem = GgmProblem(cov, select_important(mean, config.h), config.tau, config.lam,
+                         config.surrogate)
+    report = solve_ggm(problem, config.solver)
+    assert config.solver.T == 200
+    assert report.converged
+    assert report.iterations < 100
+    # the returned Omega is a fixed point of the plain sweep to outer_tol
+    moved = np.linalg.norm(_plain_sweep(problem, report.omega_star) - report.omega_star.omega)
+    assert moved <= config.solver.outer_tol
+
+
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_one_eigh_per_evaluation_and_one_more_per_refusal(monkeypatch, mode):
+    for problem in (_problem(np.random.default_rng(50), 20, mode=mode, tau=0.3),
+                    _rank_deficient_problem(1, mode)):
+        eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+        refusals = _count_calls(monkeypatch, ggm._Mixing, "clear")
+        report = solve_ggm(problem, SolverOptions(T=150))
+        assert len(eighs) == report.iterations + len(refusals)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_rank_deficient_trace_is_exactly_nondecreasing(monkeypatch, mode):
+    problem = _rank_deficient_problem(3, mode)
+    assert np.linalg.matrix_rank(problem.sigma_hat) < problem.n
+    refusals = _count_calls(monkeypatch, ggm._Mixing, "clear")
+    report = solve_ggm(problem, SolverOptions(T=120))
+    assert refusals  # extrapolations were refused and the plain sweep taken
+    values = np.array([v for _, v in report.objective_trace])
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.all(report.min_eig_trace > 0.0)
+    assert len(report.min_eig_trace) == len(values) == report.iterations + 1
+    again = solve_ggm(problem, SolverOptions(T=120))
+    assert again.objective_trace == report.objective_trace
+    np.testing.assert_array_equal(again.omega_star.omega, report.omega_star.omega)
+
+
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_an_extrapolation_never_raises_the_residual_norm(monkeypatch, mode):
+    problem = _rank_deficient_problem(3, mode)
+    record = ggm._Mixing.record
+    seen = []  # (extrapolated, recorded, residual norm before, residual norm after)
+
+    def watched(self, delta, base=None):
+        before = None if self._f is None else float(np.linalg.norm(self._f))
+        recorded = record(self, delta, base)
+        seen.append((base is not None, recorded, before, float(np.linalg.norm(self._f))))
+        return recorded
+
+    monkeypatch.setattr(ggm._Mixing, "record", watched)
+    solve_ggm(problem, SolverOptions(T=120))
+    extrapolated = [s for s in seen if s[0]]
+    assert any(not recorded for _, recorded, _, _ in extrapolated)
+    assert all(after <= before for _, recorded, before, after in extrapolated if recorded)
+
+
+def test_continuation_runs_plain_sweeps():
+    problem = _problem(np.random.default_rng(45), 6, tau=0.5, lam=0.5)
+    report = solve_ggm(problem, SolverOptions(T=40, lam_growth=1.2, outer_tol=1e-300))
+    diag = np.maximum(np.diag(problem.sigma_hat), 1e-8)
+    delta = np.diag(1.0 / diag)
+    current = problem
+    values = []
+    for _ in range(40):
+        precision = update_precision_eig(current.sigma_hat, delta, current.lam)
+        delta = update_auxiliary(precision, current).delta
+        values.append(penalized_objective(precision, delta, current))
+        current = replace(current, lam=current.lam * 1.2)
+    assert [v for _, v in report.objective_trace[1:]] == values
+    np.testing.assert_array_equal(report.omega_star.omega, precision.omega)
+
+
+def test_gradient_route_is_accelerated_too():
+    # plain sweeps still move Omega by 1e-4 per sweep after 400 sweeps here
+    problem = _problem(np.random.default_rng(51), 8, tau=0.3)
+    eig = solve_ggm(problem, SolverOptions(T=200))
+    grad = solve_ggm(problem, SolverOptions(
+        T=200, precision_method=PrecisionMethod.GRADIENT_ASCENT, inner_tol=1e-11,
+    ))
+    assert eig.converged and grad.converged
+    assert np.linalg.norm(eig.omega_star.omega - grad.omega_star.omega) <= 1e-6
+
+
+def test_solver_options_fields_are_unchanged():
+    assert [f.name for f in fields(SolverOptions)] == [
+        "T", "eta", "inner_tol", "inner_max_iter", "outer_tol", "precision_method", "lam_growth",
+    ]
+
+
+# ------------------------------------------------------------- log det
+
+
+def test_eigen_update_carries_the_closed_form_logdet():
+    rng = np.random.default_rng(52)
+    for n, lam in ((1, 1.0), (7, 0.05), (40, 3.0)):
+        sigma = _wishart(rng, n)
+        delta = rng.standard_normal((n, n))
+        precision = update_precision_eig(sigma, delta, lam)
+        sign, logdet = np.linalg.slogdet(precision.omega)
+        assert sign > 0
+        assert precision.logdet == pytest.approx(logdet, rel=1e-12, abs=1e-10)
+
+
+def test_objective_uses_a_carried_logdet_and_falls_back_to_slogdet():
+    problem = GgmProblem(np.eye(2), (0,), 0.0, 1.0, SurrogateSpec.identity())
+    omega = 2.0 * np.eye(2)
+    plain = penalized_objective(omega, omega, problem)
+    assert plain == pytest.approx(2 * np.log(2) - 4, abs=1e-12)
+    assert penalized_objective(PrecisionMatrix(omega), omega, problem) == plain
+    carried = PrecisionMatrix(omega, logdet=5.0)
+    assert penalized_objective(carried, omega, problem) == pytest.approx(5.0 - 4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_eigen_route_solve_calls_no_slogdet(monkeypatch, mode):
+    problem = _problem(np.random.default_rng(53), 12, mode=mode, tau=0.5)
+    calls = _count_calls(monkeypatch, np.linalg, "slogdet")
+    report = solve_ggm(problem, SolverOptions(T=30))
+    assert report.iterations > 5
+    assert calls == []
+
+
+def test_gradient_route_keeps_slogdet(monkeypatch):
+    problem = _problem(np.random.default_rng(53), 6, tau=0.5)
+    calls = _count_calls(monkeypatch, np.linalg, "slogdet")
+    report = solve_ggm(problem, SolverOptions(T=3, precision_method=PrecisionMethod.GRADIENT_ASCENT))
+    assert len(calls) == report.iterations
