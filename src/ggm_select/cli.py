@@ -65,8 +65,55 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+_NUMBER_BLOCK = 4096  # items of a number list per C-encoder call
+
+
 def _dump_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` to ``path``, piece by piece.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder and
+    holds every chunk of the text, then the joined text, at once; for a
+    300 x 300 ``report.json`` that is several MB above the payload itself.
+    Here dicts (keys must be strings) are written in sorted key order and
+    lists item by item, at the indentation ``json.dumps`` uses, straight to
+    the file.  A list of numbers only (``bool`` included) is encoded by the
+    C encoder in blocks of ``_NUMBER_BLOCK`` items, whose ``", "`` separators
+    become ``",\\n"`` plus the indentation: the JSON text of a number,
+    ``true``, ``false``, ``NaN`` or ``Infinity`` never contains ``", "``.
+    Empty containers and scalars go through ``json.dumps``.
+    """
+    with path.open("w") as handle:
+        _write_json(handle.write, payload, "\n")
+        handle.write("\n")
+
+
+def _write_json(write, value, newline: str) -> None:
+    """Write ``value`` as indented JSON; ``newline`` is a newline and the indentation of its line."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            write(separator + json.dumps(key) + ": ")
+            _write_json(write, value[key], inner)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "," + inner
+        write("[" + inner)
+        if all(isinstance(item, (int, float)) for item in value):
+            for start in range(0, len(value), _NUMBER_BLOCK):
+                block = json.dumps(value[start:start + _NUMBER_BLOCK])
+                write((separator if start else "") + block[1:-1].replace(", ", separator))
+        else:
+            for index, item in enumerate(value):
+                if index:
+                    write(separator)
+                _write_json(write, item, inner)
+        write(newline + "]")
+    else:
+        write(json.dumps(value))
 
 
 def _write_manifest(path: Path, command: str, config: dict, seed,

@@ -294,11 +294,11 @@ class SolverReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "omega": [float(v) for v in self.omega_star.omega.ravel()],
+            "omega": self.omega_star.omega.ravel().tolist(),
             "objective_trace": [[int(t), float(v)] for t, v in self.objective_trace],
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
-            "group_norms": [float(v) for v in self.group_norms],
+            "group_norms": self.group_norms.tolist(),
         }
 
 
@@ -589,7 +589,11 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
     running Omega off along the unbounded directions.  A refused base's
     evaluation is discarded: the plain sweep from the last recorded Delta
     is taken instead (one extra evaluation) and the history is cleared, so
-    the next extrapolation waits until it has refilled.  With
+    the next extrapolation waits until it has refilled, ``ANDERSON_DEPTH`` + 1
+    sweeps.  Each further refusal with no accepted extrapolation in between
+    doubles that wait, so a problem that refuses every extrapolation (dump
+    mode's rank-deficient Sigma_hat) pays O(log T) extra evaluations, not
+    one per refill.  With
     ``opts.lam_growth`` != 1 the history is cleared at every lam change, so
     continuation runs plain sweeps only.
 
@@ -618,15 +622,22 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
 
     converged = False
     iterations = 0
+    refused = 0  # extrapolations refused since the last accepted one
+    retry = 0  # the first iteration that may extrapolate again
     for t in range(1, opts.T + 1):
         step = None
-        base = mixing.extrapolate()
+        base = mixing.extrapolate() if t >= retry else None
         if base is not None:
             step = sweep(mixing.unpack(base))
             # the safeguard: no lower objective (a NaN fails too), no larger residual
-            if not (step[2] >= trace[-1][1] and mixing.record(step[1], base)):
+            if step[2] >= trace[-1][1] and mixing.record(step[1], base):
+                refused = 0
+            else:
                 step = None
                 mixing.clear()
+                refused += 1
+                # the refill alone takes depth + 1 sweeps; each refusal in a row doubles the wait
+                retry = t + (ANDERSON_DEPTH + 1) * 2 ** (refused - 1)
         if step is None:
             step = sweep(delta)
             mixing.record(step[1])

@@ -452,6 +452,23 @@ def _vector(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _decode_vectors(obj: dict) -> dict:
+    """``json.loads`` object hook: ``values``/``grads`` as float arrays as soon as an object is decoded.
+
+    Converting per object keeps only one record's float lists alive at a
+    time instead of the whole file's.  A value that does not convert stays
+    as decoded, so :func:`_parse_record` raises the error it raises without
+    the hook; :func:`_vector` returns an array it is given unchanged.
+    """
+    for key in ("values", "grads"):
+        if key in obj:
+            try:
+                obj[key] = _vector(obj[key])
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
 # records are open objects: keys without a reader are ignored
 _RECORD_READERS = {
     "step": integer, "layer_id": integer, "tensor": str,
@@ -491,7 +508,7 @@ def read_score_dump(dump_dir):
     by_step = {}
     for file in files:
         try:
-            payload = json.loads(file.read_text())
+            payload = json.loads(file.read_text(), object_hook=_decode_vectors)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{file.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         records = payload if isinstance(payload, list) else [payload]

@@ -107,7 +107,7 @@ class SelectionResult:
             "important_set": list(self.important_set),
             "solver_selected": list(self.solver_selected),
             "frozen": list(self.frozen),
-            "scores": [float(v) for v in self.scores],
+            "scores": self.scores.tolist(),
         }
 
 

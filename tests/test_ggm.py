@@ -736,3 +736,41 @@ def test_gradient_route_keeps_slogdet(monkeypatch):
     calls = _count_calls(monkeypatch, np.linalg, "slogdet")
     report = solve_ggm(problem, SolverOptions(T=3, precision_method=PrecisionMethod.GRADIENT_ASCENT))
     assert len(calls) == report.iterations
+
+
+def _extrapolation_attempts(monkeypatch):
+    """Log each extrapolation attempt as (iteration, accepted)."""
+    attempts, done = [], []
+    record, clear = ggm._Mixing.record, ggm._Mixing.clear
+
+    def recorded(self, delta, base=None):
+        kept = record(self, delta, base)
+        if kept:
+            done.append(1)
+            if base is not None:
+                attempts.append((len(done), True))
+        return kept
+
+    def cleared(self):
+        attempts.append((len(done) + 1, False))
+        clear(self)
+
+    monkeypatch.setattr(ggm._Mixing, "record", recorded)
+    monkeypatch.setattr(ggm._Mixing, "clear", cleared)
+    return attempts
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_refusals_in_a_row_double_the_wait(monkeypatch, seed, mode):
+    attempts = _extrapolation_attempts(monkeypatch)
+    solve_ggm(_rank_deficient_problem(seed, mode), SolverOptions(T=120))
+    assert any(not kept for _, kept in attempts)
+    in_a_row = 0
+    for (t, kept), (t_next, _) in zip(attempts, attempts[1:]):
+        in_a_row = 0 if kept else in_a_row + 1
+        # an accepted extrapolation leaves the history full: the next base extrapolates
+        # too; the k-th refusal in a row waits the refill (depth + 1 sweeps) times 2^(k-1)
+        wait = 1 if kept else (ggm.ANDERSON_DEPTH + 1) * 2 ** (in_a_row - 1)
+        assert t_next == t + wait
+

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ggm_select.nodes import (
     NodeLayout,
     SampleSet,
     TensorKey,
+    _parse_record,
     decompose_layer,
     node_value_bias,
     node_value_pair,
@@ -531,3 +533,60 @@ def test_dump_duplicate_tensor_rejected(tmp_path):
     })
     with pytest.raises(ValueError, match="duplicate"):
         read_score_dump(dump)
+
+
+FIXTURE_DUMP = Path(__file__).parent / "fixtures" / "score_dump"
+
+# The reader converts values/grads while json.loads decodes each record; the
+# arrays and the errors must be those of a plain parse followed by _parse_record.
+_DUMP_VALUES = {
+    "floats": [0.1, -2.5e-300, 3, 1e308],
+    "numeric_strings": ["1.5", "2"],
+    "strings": ["a", "b"],
+    "string": "abc",
+    "nested": [[1.0, 2.0], [3.0, 4.0]],
+    "ragged": [[1.0], [2.0, 3.0]],
+    "objects": [{"values": [1.0]}],
+    "booleans": [True, False],
+    "null": None,
+    "number": 2.0,
+    "empty": [],
+    "huge_integer": [10**400],
+}
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_DUMP_VALUES))
+def test_dump_reader_matches_a_plain_parse(tmp_path, name):
+    values = _DUMP_VALUES[name]
+    records = [_record(0, 0, "b", values, [5.0, 6.0] if name == "ragged" else values),
+               {**_record(0, 1, "b", [1.0], [2.0]), "meta": {"values": values}}]
+    dump = _write_dump(tmp_path, {"r.json": records})
+    read = _outcome(lambda: read_score_dump(dump)[0][TensorKey(0, "b")])
+    text = (dump / "r.json").read_text()
+    plain = _outcome(lambda: _parse_record(json.loads(text)[0], "r.json: record 0")[2:])
+    assert read[0] == plain[0]
+    if read[0] == "ok":
+        for got, want in zip(read[1], plain[1]):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    else:
+        assert read[1] == plain[1]
+        assert read[0] is OverflowError or read[1].startswith("r.json: record 0")
+
+
+def test_dump_reader_fixture_arrays_match_a_plain_parse():
+    steps = read_score_dump(FIXTURE_DUMP)
+    for file in sorted(FIXTURE_DUMP.glob("*.json")):
+        for pos, record in enumerate(json.loads(file.read_text())):
+            step, key, values, grads = _parse_record(record, f"{file.name}: record {pos}")
+            got_values, got_grads = steps[step][key]
+            assert got_values.dtype == got_grads.dtype == np.float64
+            np.testing.assert_array_equal(got_values, values)
+            np.testing.assert_array_equal(got_grads, grads)
