@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csv import BLOCK_VALUES, format_rows
 from ._inputs import integer, read_object
 from .errors import NumericalError
 
@@ -289,15 +290,18 @@ class SampleSet:
     def save_csv(self, path) -> None:
         """Write a header row of names, then one row per sample in ``%.17g``.
 
-        ``%.17g`` round-trips every double.  Rows are converted one at a time:
-        ``tolist()`` on the whole matrix would hold a Python float per value.
+        The bytes are those of ``"%.17g" % v`` for every value, joined by
+        "," and each row ended by a newline; ``%.17g`` round-trips every
+        double.  Rows are formatted in array code, block by block of about
+        ``_csv.BLOCK_VALUES`` values, so the text of the whole matrix is
+        never held at once.
         """
         path = Path(path)
-        template = ",".join(["%.17g"] * self.n) + "\n"
-        with path.open("w") as handle:
-            handle.write(",".join(self.names) + "\n")
-            for row in self.values:
-                handle.write(template % tuple(row.tolist()))
+        rows_per_block = max(1, BLOCK_VALUES // max(1, self.n))
+        with path.open("wb") as handle:
+            handle.write((",".join(self.names) + "\n").encode())
+            for start in range(0, self.m, rows_per_block):
+                handle.write(format_rows(self.values[start:start + rows_per_block]))
 
     @classmethod
     def load_csv(cls, path) -> "SampleSet":
@@ -449,7 +453,10 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
 
 
 def _vector(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError("must be numbers, got an integer too large for a float") from None
 
 
 def _decode_vectors(obj: dict) -> dict:
@@ -464,7 +471,7 @@ def _decode_vectors(obj: dict) -> dict:
         if key in obj:
             try:
                 obj[key] = _vector(obj[key])
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError):
                 pass
     return obj
 

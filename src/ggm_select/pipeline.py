@@ -152,7 +152,8 @@ def select_trainable(report: SolverReport, important_set, budget=None, threshold
     important = tuple(sorted(int(i) for i in important_set))
     if any(i < 0 or i >= n for i in important):
         raise ValueError(f"important set {important} out of range for n={n}")
-    candidates = [i for i in range(n) if i not in set(important)]
+    important_members = set(important)
+    candidates = [i for i in range(n) if i not in important_members]
     if budget is not None:
         budget = int(budget)
         if not 0 <= budget <= len(candidates):
@@ -164,7 +165,8 @@ def select_trainable(report: SolverReport, important_set, budget=None, threshold
         if not (math.isfinite(threshold) and threshold >= 0.0):
             raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
         selected = tuple(i for i in candidates if norms[i] > threshold)
-    frozen = tuple(i for i in candidates if i not in set(selected))
+    selected_members = set(selected)
+    frozen = tuple(i for i in candidates if i not in selected_members)
     return SelectionResult(
         important_set=important,
         solver_selected=selected,

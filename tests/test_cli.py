@@ -463,6 +463,30 @@ def test_score_refuses_a_record_value_that_is_not_an_integer(tmp_path, capsys, k
     assert f"steps.json: record {changed[0]} key {key!r}" in err
 
 
+def _huge_integer_dump(tmp_path):
+    """The pair dump with a grads entry too large for a float in record 2."""
+    records = _pair_dump_records()
+    records[2]["grads"] = [0.5, 10**400]
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "steps.json").write_text(json.dumps(records))
+    return dump
+
+
+def test_score_refuses_an_integer_too_large_for_a_float(tmp_path, capsys):
+    dump = _huge_integer_dump(tmp_path)
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "steps.json: record 2 key 'grads': must be numbers, got an integer too large" in err
+
+
+def test_simulate_dump_mode_refuses_an_integer_too_large_for_a_float(tmp_path, capsys):
+    config = _small_config(tmp_path, mode="dump", dump=str(_huge_integer_dump(tmp_path)))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "steps.json: record 2 key 'grads': must be numbers" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ round trip
 
 
