@@ -1,8 +1,9 @@
 """Regenerate the recorded score-stream fixture under tests/fixtures/.
 
 Writes one JSON file per step (a list of tensor records) for a two-layer
-layout, then replays the stream and freezes the resulting node samples as a
-golden CSV.  Deterministic: fixed seed, fixed record order per file.
+layout, then replays the stream, read in the |value * grad| form that the
+CLI reads, and freezes the resulting node samples as a golden CSV.
+Deterministic: fixed seed, fixed record order per file.
 """
 
 import json
@@ -55,7 +56,7 @@ def main():
         path = dump / f"step{step}.json"
         path.write_text(json.dumps(make_records(rng, step), indent=2) + "\n")
 
-    samples = replay_scores(read_score_dump(dump), beta1=BETA, beta2=BETA)
+    samples = replay_scores(read_score_dump(dump, sensitivities=True), beta1=BETA, beta2=BETA)
     samples.save_csv(fixtures / "score_samples_golden.csv")
     print(f"wrote {STEPS} step files and golden CSV ({samples.m} x {samples.n})")
 

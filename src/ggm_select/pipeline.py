@@ -365,7 +365,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
     else:
         with _stage("data"):
-            steps = read_score_dump(config.dump_dir)
+            steps = read_score_dump(config.dump_dir, sensitivities=True)
             samples = replay_scores(steps, config.beta1, config.beta2)
 
     with _stage("statistics"):

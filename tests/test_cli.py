@@ -531,3 +531,19 @@ def test_unknown_log_level_falls_back(tmp_path, monkeypatch, capsys):
     rc = main(["prox", "--y", "1.0", "--lam", "0.25", "--kind", "identity"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["x_star"] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("key, new, refused", [
+    ("values", ["1.5", "2"], "str"),
+    ("grads", [True, 0.5], "bool"),
+    ("grads", [0.5, False], "bool"),
+])
+def test_score_refuses_strings_and_booleans_in_values_and_grads(tmp_path, capsys, key, new, refused):
+    records = _pair_dump_records()
+    records[3][key] = new
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "steps.json").write_text(json.dumps(records))
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert f"steps.json: record 3 key {key!r}: must be numbers, got {refused}" in capsys.readouterr().err
