@@ -537,8 +537,9 @@ def _parse_record(record, where: str):
 # process parses dump JSON at about 40 MB/s; a helper takes about 0.5 s to
 # start (an interpreter importing NumPy and this package), and two helpers
 # on two CPUs each parse about 20 % slower than one process alone.  On a
-# 2-vCPU x86_64 box two helpers broke even with the serial read at about
-# 50 MB: 0.90 s against 0.72 s at 26 MB, 1.33 s against 1.41 s at 53 MB.
+# 2-vCPU x86_64 box two helpers broke even with the serial read at 40-50 MB
+# (medians of 7 alternations): 1.07 s against 1.00 s at 39 MB, 1.15 s
+# against 1.25 s at 52 MB, 1.32 s against 1.55 s at 65 MB.
 _HELPER_MIN_BYTES = 24_000_000
 
 
