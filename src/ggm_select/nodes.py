@@ -23,6 +23,7 @@ indices are 0-based throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -468,45 +469,70 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
     return SampleSet(values=rows, names=layout.node_names(), layout=layout)
 
 
-def _vector(values) -> np.ndarray:
+def _vector(values, booleans: bool = True) -> np.ndarray:
     """A JSON array of numbers as a float64 array; anything but numbers is refused.
 
-    ``struct.pack`` converts each element as ``float()`` does, faster than
-    ``np.asarray``, and refuses strings, null, objects and nested arrays.
-    It takes a boolean as 0 or 1, so only an array holding an exact 0 or 1
-    has its element types scanned.  An array is returned unchanged: only
-    :func:`_decode_vectors` passes one.
+    ``struct.pack`` converts each element of a list as ``float()`` does,
+    faster than ``np.asarray``, and refuses strings, null, objects and
+    nested arrays.  It takes a boolean as 0 or 1, so only a list holding an
+    exact 0 or 1 has its element types scanned, and none with
+    ``booleans=False``, which says the JSON text spells no ``true`` or
+    ``false``.  Anything but a list is refused unless it is a number, which
+    the record check refuses as not 1-D.  An array is returned unchanged:
+    only :func:`_decode_vectors` passes one.
     """
     if isinstance(values, np.ndarray):
         return values
-    try:
-        vector = np.frombuffer(struct.pack(f"{len(values)}d", *values))
-        if not (np.count_nonzero(vector == 0.0) or np.count_nonzero(vector == 1.0)):
-            return vector
-    except (TypeError, struct.error):
-        pass
-    types = set(map(type, values)) if isinstance(values, list) else {type(values)}
+    vector = None
+    if type(values) is list:
+        try:
+            vector = np.frombuffer(struct.pack(f"{len(values)}d", *values))
+        except struct.error:  # not a number, or an integer too large for a float
+            pass
+        else:
+            if not (booleans and (np.count_nonzero(vector == 0.0) or np.count_nonzero(vector == 1.0))):
+                return vector
+    types = set(map(type, values)) if type(values) is list else {type(values)}
     other = types - {int, float}
     if other:
         raise TypeError(f"must be numbers, got {', '.join(sorted(t.__name__ for t in other))}")
+    if vector is not None:
+        return vector
     try:
         return np.asarray(values, dtype=float)
     except OverflowError:
         raise ValueError("must be numbers, got an integer too large for a float") from None
 
 
-def _decode_vectors(obj: dict) -> dict:
+def _spells_a_boolean(text: str) -> bool:
+    """Whether JSON ``text`` holds the word ``true`` or ``false`` anywhere.
+
+    A search for a single letter runs at memory speed, a search for a word
+    does not, so this finds each ``u`` and ``f`` and looks at the word
+    around it.  Record keys spell ``u`` once (``values``) and no ``f``, so a
+    dump file takes about one step per record: under 1 % of its parse.
+    """
+    for letter, word, offset in (("u", "true", 2), ("f", "false", 0)):
+        at = text.find(letter)
+        while at >= 0:
+            if text.startswith(word, max(at - offset, 0)):
+                return True
+            at = text.find(letter, at + 1)
+    return False
+
+
+def _decode_vectors(obj: dict, booleans: bool = True) -> dict:
     """``json.loads`` object hook: ``values``/``grads`` as float arrays as soon as an object is decoded.
 
     Converting per object keeps only one record's float lists alive at a
-    time instead of the whole file's.  A value that :func:`_vector` refuses
-    stays as decoded, so :func:`_parse_record` raises the error it raises
-    without the hook.
+    time instead of the whole file's.  ``booleans`` is passed to
+    :func:`_vector`.  A value that it refuses stays as decoded, so
+    :func:`_parse_record` raises the error it raises without the hook.
     """
     for key in ("values", "grads"):
         if key in obj:
             try:
-                obj[key] = _vector(obj[key])
+                obj[key] = _vector(obj[key], booleans)
             except (TypeError, ValueError):
                 pass
     return obj
@@ -539,7 +565,8 @@ def _parse_record(record, where: str):
 # on two CPUs each parse about 20 % slower than one process alone.  On a
 # 2-vCPU x86_64 box two helpers broke even with the serial read at 40-50 MB
 # (medians of 7 alternations): 1.07 s against 1.00 s at 39 MB, 1.15 s
-# against 1.25 s at 52 MB, 1.32 s against 1.55 s at 65 MB.
+# against 1.25 s at 52 MB, 1.32 s against 1.55 s at 65 MB.  More than two
+# helpers (one per CPU on a larger machine) have not been measured.
 _HELPER_MIN_BYTES = 24_000_000
 
 
@@ -557,7 +584,9 @@ def _read_file(path: Path, sensitivities: bool):
     records, arrays, error = [], [], None
     try:
         try:
-            payload = json.loads(path.read_text(), object_hook=_decode_vectors)
+            text = path.read_text()
+            hook = functools.partial(_decode_vectors, booleans=_spells_a_boolean(text))
+            payload = json.loads(text, object_hook=hook)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):
@@ -629,9 +658,10 @@ def read_score_dump(dump_dir, sensitivities: bool = False):
     the memory.  A dump of several files and at least twice
     ``_HELPER_MIN_BYTES`` is parsed in ``spawn`` helper processes, one per
     usable CPU (see :func:`_read_files`), so a script that calls this on
-    such a dump needs the ``if __name__ == "__main__":`` guard.  Files are
-    merged in name order, so the result and the first error are those of a
-    read file by file.
+    such a dump needs the ``if __name__ == "__main__":`` guard: without it
+    each helper runs the script's top-level code again before it fails and
+    the dump is read here.  Files are merged in name order, so the result
+    and the first error are those of a read file by file.
     """
     dump_dir = Path(dump_dir)
     if not dump_dir.is_dir():

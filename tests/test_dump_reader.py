@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ggm_select import nodes
-from ggm_select.nodes import TensorKey, _vector, read_score_dump, replay_scores
+from ggm_select.nodes import TensorKey, _spells_a_boolean, _vector, read_score_dump, replay_scores
 
 FIXTURE_DUMP = Path(__file__).parent / "fixtures" / "score_dump"
 
@@ -235,6 +235,9 @@ def test_small_dumps_one_file_one_cpu_and_child_processes_read_here(monkeypatch,
     ([None, 1.0], "NoneType"),
     ([1.0, {"a": 1}], "dict"),
     ("abc", "str"),
+    ("", "str"),
+    ({}, "dict"),
+    ({"a": 1.0}, "dict"),
     (None, "NoneType"),
     ([[1.0, 0.0]], "list"),
 ])
@@ -257,3 +260,24 @@ def test_vector_takes_numbers_as_a_float_conversion_does(values):
 def test_vector_refuses_an_integer_too_large_for_a_float():
     with pytest.raises(ValueError, match="must be numbers, got an integer too large for a float"):
         _vector([0.5, 10**400])
+
+
+@pytest.mark.parametrize("text, spelled", [
+    ('[{"values": [1.0, 0.5], "grads": [0.0, 1e-05]}]', False),
+    ("[Infinity, -Infinity, NaN]", False),
+    ('{"fu": "uf", "tru": "alse"}', False),
+    ("", False),
+    ("true", True),
+    ("false", True),
+    ("[0.5,true]", True),
+    ('{"values": [0, false]}', True),
+    ('{"note": "untrue"}', True),  # a word in a string only makes the reader scan
+])
+def test_spells_a_boolean_finds_the_json_words(text, spelled):
+    assert _spells_a_boolean(text) is spelled
+
+
+def test_vector_skips_the_scan_only_when_told_the_text_spells_no_boolean():
+    assert _vector([True, 0.5], booleans=False).tolist() == [1.0, 0.5]
+    with pytest.raises(TypeError, match="got bool"):
+        _vector([True, 0.5])
