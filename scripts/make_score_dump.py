@@ -56,7 +56,7 @@ def main():
         path = dump / f"step{step}.json"
         path.write_text(json.dumps(make_records(rng, step), indent=2) + "\n")
 
-    samples = replay_scores(read_score_dump(dump, sensitivities=True), beta1=BETA, beta2=BETA)
+    samples = replay_scores(read_score_dump(dump), beta1=BETA, beta2=BETA)
     samples.save_csv(fixtures / "score_samples_golden.csv")
     print(f"wrote {STEPS} step files and golden CSV ({samples.m} x {samples.n})")
 

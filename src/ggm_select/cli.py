@@ -339,7 +339,7 @@ def cmd_simulate(args) -> int:
 def cmd_score(args) -> int:
     started = _utc_now()
     dump_dir = Path(args.dump)
-    steps = read_score_dump(dump_dir, sensitivities=True)
+    steps = read_score_dump(dump_dir)
     samples = replay_scores(steps, args.beta1, args.beta2)
     out_path = Path(args.out)
     if out_path.parent != Path(""):

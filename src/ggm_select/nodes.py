@@ -419,7 +419,7 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
 
     ``steps`` is a sequence of dicts mapping :class:`TensorKey` to a
     ``(values, grads)`` pair or to its sensitivity array |values * grads|,
-    as ``read_score_dump(..., sensitivities=True)`` gives; both replay to
+    as :func:`read_score_dump` gives; both replay to
     the same bits.  Every step must cover exactly the same tensor set, and
     all tensors of one kind in a layer share the length they have at step
     0.  Each step stacks a layer's A tensors, its B tensors and its bias,
@@ -556,6 +556,9 @@ def _parse_record(record, where: str):
     values, grads = read["values"], read["grads"]
     if values.ndim != 1 or values.shape != grads.shape:
         raise ValueError(f"{where}: values/grads must be equal-length 1-D arrays")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(values * grads).all():
+            raise ValueError(f"{where}: |values * grads| overflows a float")
     return read["step"], key, values, grads
 
 
@@ -570,12 +573,12 @@ def _parse_record(record, where: str):
 _HELPER_MIN_BYTES = 24_000_000
 
 
-def _read_file(path: Path, sensitivities: bool):
+def _read_file(path: Path):
     """Parse one dump file into ``(records, packed, error)``.
 
     ``records`` lists ``(step, key, length)`` in file order and ``packed``
-    holds their arrays end to end: |values * grads| per record with
-    ``sensitivities``, else its values, then its grads.  A failure is
+    holds each record's :func:`sensitivity` |values * grads| end to end,
+    one array rather than one per record to pickle.  A failure is
     returned, not raised, after the records parsed before it, so the caller
     checks those first and then raises it, as a record-by-record read would.
     Runs in a helper process for large dumps, so its result is small and
@@ -592,7 +595,7 @@ def _read_file(path: Path, sensitivities: bool):
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):
             step, key, values, grads = _parse_record(record, f"{path.name}: record {pos}")
             records.append((step, key, values.size))
-            arrays.extend([np.abs(values * grads)] if sensitivities else [values, grads])
+            arrays.append(sensitivity(values, grads))
     except Exception as exc:  # any failure of the read; the caller raises it in file order
         error = exc
     return records, np.concatenate(arrays) if arrays else np.empty(0), error
@@ -605,7 +608,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _read_files(files: list, sensitivities: bool):
+def _read_files(files: list):
     """:func:`_read_file` of each file, in order; in helper processes when that pays.
 
     One ``spawn`` helper per usable CPU, and no more than there are files or
@@ -630,7 +633,7 @@ def _read_files(files: list, sensitivities: bool):
             try:
                 pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("spawn"))
                 try:
-                    for result in pool.map(_read_file, files, [sensitivities] * len(files)):
+                    for result in pool.map(_read_file, files):
                         results.append(result)
                         if result[2] is not None:
                             break
@@ -639,10 +642,10 @@ def _read_files(files: list, sensitivities: bool):
                 return results
             except (OSError, BrokenProcessPool):
                 pass
-    return (_read_file(file, sensitivities) for file in files)
+    return (_read_file(file) for file in files)
 
 
-def read_score_dump(dump_dir, sensitivities: bool = False):
+def read_score_dump(dump_dir):
     """Load a dump directory into the step-stream form used by replay_scores.
 
     Every ``*.json`` file holds one record object or a list of them; records
@@ -652,16 +655,17 @@ def read_score_dump(dump_dir, sensitivities: bool = False):
     and keys without a reader are ignored.  Malformed records raise
     ValueError naming the file and record position.
 
-    Each step maps a :class:`TensorKey` to its ``(values, grads)`` pair, or
-    with ``sensitivities`` to the array |values * grads| (bit-equal to
-    :func:`sensitivity`), which is all :func:`replay_scores` uses and half
-    the memory.  A dump of several files and at least twice
-    ``_HELPER_MIN_BYTES`` is parsed in ``spawn`` helper processes, one per
-    usable CPU (see :func:`_read_files`), so a script that calls this on
-    such a dump needs the ``if __name__ == "__main__":`` guard: without it
-    each helper runs the script's top-level code again before it fails and
-    the dump is read here.  Files are merged in name order, so the result
-    and the first error are those of a read file by file.
+    Each step maps a :class:`TensorKey` to the float64 array
+    :func:`sensitivity` |values * grads|, which is all :func:`replay_scores`
+    uses and half the memory of the values and grads; a record whose
+    product overflows a float is refused.  A dump of several files and at
+    least twice ``_HELPER_MIN_BYTES`` is parsed in ``spawn`` helper
+    processes, one per usable CPU (see :func:`_read_files`), so a script
+    that calls this on such a dump needs the ``if __name__ == "__main__":``
+    guard: without it each helper runs the script's top-level code again
+    before it fails and the dump is read here.  Files are merged in name
+    order, so the result and the first error are those of a read file by
+    file.
     """
     dump_dir = Path(dump_dir)
     if not dump_dir.is_dir():
@@ -670,19 +674,14 @@ def read_score_dump(dump_dir, sensitivities: bool = False):
     if not files:
         raise ValueError(f"no .json records in {dump_dir}")
     by_step = {}
-    for file, (records, packed, error) in zip(files, _read_files(files, sensitivities)):
+    for file, (records, packed, error) in zip(files, _read_files(files)):
         start = 0
         for pos, (step, key, length) in enumerate(records):
             slot = by_step.setdefault(step, {})
             if key in slot:
                 raise ValueError(f"{file.name}: record {pos}: duplicate tensor {key} at step {step}")
-            values = packed[start:start + length]
-            if sensitivities:
-                slot[key] = values
-                start += length
-            else:
-                slot[key] = (values, packed[start + length:start + 2 * length])
-                start += 2 * length
+            slot[key] = packed[start:start + length]
+            start += length
         if error is not None:
             raise error
     return [by_step[step] for step in sorted(by_step)]

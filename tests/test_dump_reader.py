@@ -1,4 +1,4 @@
-"""The score-dump reader: helper processes, the reduced form and strict values.
+"""The score-dump reader: helper processes, |value*grad| records and strict values.
 
 ``read_score_dump`` parses a large dump in ``spawn`` helper processes.  Here
 ``_HELPER_MIN_BYTES`` is patched to 0 and ``_usable_cpus`` to 2, so the small
@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from ggm_select import nodes
-from ggm_select.nodes import TensorKey, _spells_a_boolean, _vector, read_score_dump, replay_scores
+from ggm_select.nodes import (
+    TensorKey,
+    _parse_record,
+    _spells_a_boolean,
+    _vector,
+    read_score_dump,
+    replay_scores,
+    sensitivity,
+)
 
 FIXTURE_DUMP = Path(__file__).parent / "fixtures" / "score_dump"
 
@@ -41,10 +49,20 @@ def helpers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _serial(dump, **kwargs):
+def _serial(dump):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nodes, "_HELPER_MIN_BYTES", 1 << 62)
-        return read_score_dump(dump, **kwargs)
+        return read_score_dump(dump)
+
+
+def _plain_pairs(dump):
+    """The dump's ``(values, grads)`` pair stream from a plain parse and :func:`_parse_record`."""
+    by_step = {}
+    for file in sorted(dump.glob("*.json")):
+        for pos, record in enumerate(json.loads(file.read_text())):
+            step, key, values, grads = _parse_record(record, f"{file.name}: record {pos}")
+            by_step.setdefault(step, {})[key] = (values, grads)
+    return [by_step[step] for step in sorted(by_step)]
 
 
 def _outcome(call):
@@ -58,11 +76,9 @@ def _assert_same_steps(got, want):
     assert len(got) == len(want)
     for got_step, want_step in zip(got, want):
         assert list(got_step) == list(want_step)
-        for key in want_step:
-            pairs = zip(*(x if isinstance(x, tuple) else (x,) for x in (got_step[key], want_step[key])))
-            for got_array, want_array in pairs:
-                assert got_array.dtype == want_array.dtype == np.float64
-                assert got_array.tobytes() == want_array.tobytes()
+        for key, want_array in want_step.items():
+            assert got_step[key].dtype == want_array.dtype == np.float64
+            assert got_step[key].tobytes() == want_array.tobytes()
 
 
 def _seeded_dump(directory, files=4, steps=6, seed=11):
@@ -87,31 +103,27 @@ def _seeded_dump(directory, files=4, steps=6, seed=11):
     return directory
 
 
-@pytest.mark.parametrize("sensitivities", [False, True])
-def test_helpers_read_the_fixture_as_the_serial_reader(helpers, sensitivities):
-    got = read_score_dump(FIXTURE_DUMP, sensitivities=sensitivities)
+def test_helpers_read_the_fixture_as_the_serial_reader(helpers):
+    got = read_score_dump(FIXTURE_DUMP)
     assert helpers.maps == 1
-    _assert_same_steps(got, _serial(FIXTURE_DUMP, sensitivities=sensitivities))
+    _assert_same_steps(got, _serial(FIXTURE_DUMP))
 
 
 def test_helpers_read_a_seeded_dump_as_the_serial_reader(helpers, tmp_path):
     dump = _seeded_dump(tmp_path / "dump")
-    pairs = read_score_dump(dump)
-    reduced = read_score_dump(dump, sensitivities=True)
-    assert helpers.maps == 2
+    reduced = read_score_dump(dump)
+    assert helpers.maps == 1
     assert multiprocessing.active_children() == []
-    _assert_same_steps(pairs, _serial(dump))
-    _assert_same_steps(reduced, _serial(dump, sensitivities=True))
-    for pair_step, reduced_step in zip(pairs, reduced):
-        for key, (values, grads) in pair_step.items():
-            assert reduced_step[key].tobytes() == nodes.sensitivity(values, grads).tobytes()
+    _assert_same_steps(reduced, _serial(dump))
+    plain = [{key: sensitivity(*pair) for key, pair in step.items()} for step in _plain_pairs(dump)]
+    _assert_same_steps(reduced, plain)
 
 
 @pytest.mark.parametrize("dump", ["fixture", "seeded"])
 def test_the_reduced_form_replays_bit_equal_to_the_pair_form(tmp_path, dump):
     dump = FIXTURE_DUMP if dump == "fixture" else _seeded_dump(tmp_path / "dump")
-    pairs = replay_scores(read_score_dump(dump), 0.85, 0.85)
-    reduced = replay_scores(read_score_dump(dump, sensitivities=True), 0.85, 0.85)
+    pairs = replay_scores(_plain_pairs(dump), 0.85, 0.85)
+    reduced = replay_scores(read_score_dump(dump), 0.85, 0.85)
     assert reduced.values.tobytes() == pairs.values.tobytes()
     assert reduced.names == pairs.names
     pairs.save_csv(tmp_path / "pairs.csv")
@@ -167,12 +179,12 @@ def test_helpers_raise_the_serial_readers_first_error(helpers, tmp_path, case, f
         (dump / "part3.json").write_text("[{]")
     else:
         _break(dump, "part1.json", 1, lambda records, pos: records[pos]["grads"].__setitem__(0, True))
-    got = _outcome(lambda: read_score_dump(dump, sensitivities=True))
+    got = _outcome(lambda: read_score_dump(dump))
     assert helpers.maps == 1
     assert multiprocessing.active_children() == []
     assert got[0] is ValueError
     assert got[1].startswith(first_error)
-    assert got == _outcome(lambda: _serial(dump, sensitivities=True))
+    assert got == _outcome(lambda: _serial(dump))
 
 
 class _NoProcesses:
@@ -191,11 +203,11 @@ class _DyingPool(concurrent.futures.ThreadPoolExecutor):
 @pytest.mark.parametrize("pool", [_NoProcesses, _DyingPool])
 def test_the_reader_falls_back_to_a_serial_read(monkeypatch, tmp_path, pool):
     dump = _seeded_dump(tmp_path / "dump")
-    want = _serial(dump, sensitivities=True)
+    want = _serial(dump)
     monkeypatch.setattr(nodes, "_HELPER_MIN_BYTES", 0)
     monkeypatch.setattr(nodes, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    _assert_same_steps(read_score_dump(dump, sensitivities=True), want)
+    _assert_same_steps(read_score_dump(dump), want)
 
 
 def test_small_dumps_one_file_one_cpu_and_child_processes_read_here(monkeypatch, tmp_path):
