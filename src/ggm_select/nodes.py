@@ -538,11 +538,26 @@ def _decode_vectors(obj: dict, booleans: bool = True) -> dict:
     return obj
 
 
+def _finite_vector(values) -> np.ndarray:
+    """:func:`_vector`, refusing NaN and infinities.
+
+    JSON text can spell them as ``NaN``, ``Infinity`` and ``-Infinity``, or
+    as a number too large for a float such as ``1e400``, which ``json``
+    reads as an infinity; the replay could not score any of them.
+    """
+    vector = _vector(values)
+    finite = np.isfinite(vector)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise ValueError(f"must be finite, got {vector.flat[bad]} at element {bad}")
+    return vector
+
+
 # records are open objects: keys without a reader are ignored
 _RECORD_READERS = {
     "step": integer, "layer_id": integer, "tensor": str,
     "index": lambda index: None if index is None else integer(index),
-    "values": _vector, "grads": _vector,
+    "values": _finite_vector, "grads": _finite_vector,
 }
 
 
@@ -587,9 +602,11 @@ def _read_file(path: Path):
     records, arrays, error = [], [], None
     try:
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 whatever the locale
             hook = functools.partial(_decode_vectors, booleans=_spells_a_boolean(text))
             payload = json.loads(text, object_hook=hook)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):

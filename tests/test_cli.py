@@ -547,3 +547,40 @@ def test_score_refuses_strings_and_booleans_in_values_and_grads(tmp_path, capsys
     rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert f"steps.json: record 3 key {key!r}: must be numbers, got {refused}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["values", "grads"])
+@pytest.mark.parametrize("literal, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+])
+def test_score_refuses_non_finite_values_and_grads(tmp_path, capsys, key, literal, shown):
+    records = _pair_dump_records()
+    records[3][key] = [1.0, "NOT_FINITE"]
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "steps.json").write_text(json.dumps(records).replace('"NOT_FINITE"', literal))
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"steps.json: record 3 key {key!r}: must be finite, got {shown} at element 1" in err
+
+
+def test_score_refuses_values_whose_product_overflows(tmp_path, capsys):
+    records = _pair_dump_records()
+    records[3]["values"] = records[3]["grads"] = [1.0, 1e200]
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "steps.json").write_text(json.dumps(records))
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "steps.json: record 3: |values * grads| overflows a float" in capsys.readouterr().err
+
+
+def test_score_names_a_dump_file_that_is_not_utf8(tmp_path, capsys):
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "a.json").write_text(json.dumps(_pair_dump_records()))
+    (dump / "b.json").write_bytes(b"\xff\xfe[]")
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "error: b.json: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err

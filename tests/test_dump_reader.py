@@ -164,6 +164,8 @@ def _duplicate_of_part0(directory):
     ("duplicate_before_a_bad_record", "part1.json: record 2: duplicate tensor"),
     ("invalid_json_in_a_later_file", "part3.json: invalid JSON at line 1"),
     ("boolean_in_a_later_file", "part1.json: record 1 key 'grads': must be numbers, got bool"),
+    ("non_finite_in_a_later_file", "part2.json: record 1 key 'values': must be finite, got nan"),
+    ("not_utf8_in_a_later_file", "part3.json: not UTF-8 text"),
 ])
 def test_helpers_raise_the_serial_readers_first_error(helpers, tmp_path, case, first_error):
     dump = _seeded_dump(tmp_path / "dump")
@@ -177,6 +179,11 @@ def test_helpers_raise_the_serial_readers_first_error(helpers, tmp_path, case, f
         _break(dump, "part1.json", 5, _strings)
     elif case == "invalid_json_in_a_later_file":
         (dump / "part3.json").write_text("[{]")
+    elif case == "non_finite_in_a_later_file":
+        _break(dump, "part2.json", 1, lambda records, pos: records[pos]["values"].__setitem__(2, float("nan")))
+        _break(dump, "part3.json", 0, _strings)
+    elif case == "not_utf8_in_a_later_file":
+        (dump / "part3.json").write_bytes(b"\xff\xfe[]")
     else:
         _break(dump, "part1.json", 1, lambda records, pos: records[pos]["grads"].__setitem__(0, True))
     got = _outcome(lambda: read_score_dump(dump))
