@@ -111,12 +111,12 @@ def test_helpers_read_the_fixture_as_the_serial_reader(helpers):
 
 def test_helpers_read_a_seeded_dump_as_the_serial_reader(helpers, tmp_path):
     dump = _seeded_dump(tmp_path / "dump")
-    reduced = read_score_dump(dump)
+    got = read_score_dump(dump)
     assert helpers.maps == 1
     assert multiprocessing.active_children() == []
-    _assert_same_steps(reduced, _serial(dump))
+    _assert_same_steps(got, _serial(dump))
     plain = [{key: sensitivity(*pair) for key, pair in step.items()} for step in _plain_pairs(dump)]
-    _assert_same_steps(reduced, plain)
+    _assert_same_steps(got, plain)
 
 
 @pytest.mark.parametrize("dump", ["fixture", "seeded"])
