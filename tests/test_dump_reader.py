@@ -103,8 +103,10 @@ def _seeded_dump(directory, files=4, steps=6, seed=11):
     return directory
 
 
-def test_helpers_read_the_fixture_as_the_serial_reader(helpers):
-    got = read_score_dump(FIXTURE_DUMP)
+@pytest.mark.parametrize("as_str", [False, True])
+def test_helpers_read_the_fixture_as_the_serial_reader(helpers, as_str):
+    # The pipeline hands the reader its configured dump_dir as a str.
+    got = read_score_dump(str(FIXTURE_DUMP) if as_str else FIXTURE_DUMP)
     assert helpers.maps == 1
     _assert_same_steps(got, _serial(FIXTURE_DUMP))
 
