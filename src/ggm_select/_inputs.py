@@ -1,19 +1,24 @@
 """The one rule for values read from JSON inputs.
 
-The run config, covariance files and score-dump records all pass through
-here.  ``json`` gives integers as ``int``, other numbers as ``float`` and
-``true``/``false`` as ``bool`` (itself an ``int``).  A reader takes such a
-value as it was written: an integer field refuses a float, a boolean or a
-string instead of truncating it, a number field refuses a boolean or a
-string instead of converting it, a number array holds numbers only and a
-string field refuses anything but a string.  :func:`read_object` applies
-one reader per key of a JSON object and names the object and the key in
-every error.
+Every value of the run config, covariance files and score-dump records
+passes through here, and so does every array of numbers among them:
+covariance ``data`` and dump ``values`` and ``grads``, which
+:func:`number_array` turns into float64 NumPy arrays.  ``json`` gives
+integers as ``int``, other numbers as ``float`` and ``true``/``false`` as
+``bool`` (itself an ``int``).  A reader takes such a value as it was
+written: an integer field refuses a float, a boolean or a string instead
+of truncating it, a number field refuses a boolean or a string instead of
+converting it, a number array holds finite numbers only and a string field
+refuses anything but a string.  :func:`read_object` applies one reader per
+key of a JSON object and names the object and the key in every error.
 """
 
 from __future__ import annotations
 
+import struct
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def integer(value) -> int:
@@ -33,17 +38,43 @@ def number(value) -> float:
         raise ValueError("must be a number, got an integer too large for a float") from None
 
 
-def number_list(value) -> list:
-    """A JSON array of numbers as a list of floats; each element as in :func:`number`."""
-    if not isinstance(value, list):
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer magnitude that float() cannot round to a float
+
+
+def number_array(value, booleans: bool = True) -> np.ndarray:
+    """A JSON array of finite numbers as a float64 array.
+
+    ``struct.pack_into`` converts each element as ``float()`` does, faster
+    than ``np.asarray``, and refuses strings, null, objects and nested
+    arrays.  It takes a boolean as 0 or 1, so only an array holding an
+    exact 0 or 1 has its element types scanned, and none with
+    ``booleans=False``, which says the JSON text spells no ``true`` or
+    ``false``.  NaN and infinities (JSON ``NaN``, ``Infinity`` or a number
+    too large for a float such as ``1e400``) are refused.  Each refusal
+    names the first bad element.  An ndarray is returned unchanged: only
+    the score-dump reader passes one, which this function already made.
+    """
+    if isinstance(value, np.ndarray):
+        return value
+    if type(value) is not list:
         raise TypeError(f"must be an array of numbers, got {type(value).__name__}")
-    values = []
-    for index, item in enumerate(value):
-        try:
-            values.append(number(item))
-        except (TypeError, ValueError) as exc:
-            raise type(exc)(f"element {index} {exc}") from None
-    return values
+    array = np.empty(len(value))
+    try:
+        struct.pack_into(f"{len(value)}d", array, 0, *value)
+    except struct.error:  # not a number, or an integer too large for a float
+        array = None
+    if array is None or booleans and (np.count_nonzero(array == 0.0) or np.count_nonzero(array == 1.0)):
+        if not set(map(type, value)) <= {int, float}:
+            index = next(i for i, item in enumerate(value) if type(item) not in (int, float))
+            raise TypeError(f"must be numbers, got {type(value[index]).__name__} at element {index}")
+        if array is None:  # every element is a number, so one is an integer too large for a float
+            index = next(i for i, item in enumerate(value) if abs(item) >= _FLOAT_OVERFLOW)
+            raise ValueError(f"must be numbers, got an integer too large for a float at element {index}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"must be finite, got {array[index]} at element {index}")
+    return array
 
 
 def string(value) -> str:

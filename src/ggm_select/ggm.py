@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import integer, number, number_list, read_object
+from ._inputs import integer, number, number_array, read_object
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
@@ -669,10 +669,10 @@ def load_covariance(path) -> np.ndarray:
     if path.suffix.lower() == ".json":
         payload = read_object(
             json.loads(path.read_text()), "covariance JSON",
-            {"n": integer, "data": number_list},
+            {"n": integer, "data": number_array},
             required=("n", "data"), closed=False,
         )
-        n, data = payload["n"], np.asarray(payload["data"])
+        n, data = payload["n"], payload["data"]
         if data.size != n * n:
             raise ValueError(f"covariance JSON: expected {n * n} values, got {data.size}")
         return data.reshape(n, n)

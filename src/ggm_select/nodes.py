@@ -26,14 +26,13 @@ from __future__ import annotations
 import functools
 import json
 import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ._csv import BLOCK_VALUES, format_rows
-from ._inputs import integer, read_object
+from ._inputs import integer, number_array, read_object, string
 from .errors import NumericalError
 
 __all__ = [
@@ -469,41 +468,6 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
     return SampleSet(values=rows, names=layout.node_names(), layout=layout)
 
 
-def _vector(values, booleans: bool = True) -> np.ndarray:
-    """A JSON array of numbers as a float64 array; anything but numbers is refused.
-
-    ``struct.pack`` converts each element of a list as ``float()`` does,
-    faster than ``np.asarray``, and refuses strings, null, objects and
-    nested arrays.  It takes a boolean as 0 or 1, so only a list holding an
-    exact 0 or 1 has its element types scanned, and none with
-    ``booleans=False``, which says the JSON text spells no ``true`` or
-    ``false``.  Anything but a list is refused unless it is a number, which
-    the record check refuses as not 1-D.  An array is returned unchanged:
-    only :func:`_decode_vectors` passes one.
-    """
-    if isinstance(values, np.ndarray):
-        return values
-    vector = None
-    if type(values) is list:
-        try:
-            vector = np.frombuffer(struct.pack(f"{len(values)}d", *values))
-        except struct.error:  # not a number, or an integer too large for a float
-            pass
-        else:
-            if not (booleans and (np.count_nonzero(vector == 0.0) or np.count_nonzero(vector == 1.0))):
-                return vector
-    types = set(map(type, values)) if type(values) is list else {type(values)}
-    other = types - {int, float}
-    if other:
-        raise TypeError(f"must be numbers, got {', '.join(sorted(t.__name__ for t in other))}")
-    if vector is not None:
-        return vector
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        raise ValueError("must be numbers, got an integer too large for a float") from None
-
-
 def _spells_a_boolean(text: str) -> bool:
     """Whether JSON ``text`` holds the word ``true`` or ``false`` anywhere.
 
@@ -526,38 +490,23 @@ def _decode_vectors(obj: dict, booleans: bool = True) -> dict:
 
     Converting per object keeps only one record's float lists alive at a
     time instead of the whole file's.  ``booleans`` is passed to
-    :func:`_vector`.  A value that it refuses stays as decoded, so
+    :func:`number_array`.  A value that it refuses stays as decoded, so
     :func:`_parse_record` raises the error it raises without the hook.
     """
     for key in ("values", "grads"):
         if key in obj:
             try:
-                obj[key] = _vector(obj[key], booleans)
+                obj[key] = number_array(obj[key], booleans)
             except (TypeError, ValueError):
                 pass
     return obj
 
 
-def _finite_vector(values) -> np.ndarray:
-    """:func:`_vector`, refusing NaN and infinities.
-
-    JSON text can spell them as ``NaN``, ``Infinity`` and ``-Infinity``, or
-    as a number too large for a float such as ``1e400``, which ``json``
-    reads as an infinity; the replay could not score any of them.
-    """
-    vector = _vector(values)
-    finite = np.isfinite(vector)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)[0]
-        raise ValueError(f"must be finite, got {vector.flat[bad]} at element {bad}")
-    return vector
-
-
 # records are open objects: keys without a reader are ignored
 _RECORD_READERS = {
-    "step": integer, "layer_id": integer, "tensor": str,
+    "step": integer, "layer_id": integer, "tensor": string,
     "index": lambda index: None if index is None else integer(index),
-    "values": _finite_vector, "grads": _finite_vector,
+    "values": number_array, "grads": number_array,
 }
 
 
@@ -569,7 +518,7 @@ def _parse_record(record, where: str):
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
     values, grads = read["values"], read["grads"]
-    if values.ndim != 1 or values.shape != grads.shape:
+    if values.shape != grads.shape:
         raise ValueError(f"{where}: values/grads must be equal-length 1-D arrays")
     with np.errstate(over="ignore"):
         if not np.isfinite(values * grads).all():

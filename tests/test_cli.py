@@ -323,7 +323,7 @@ def test_covariance_json_data_names_the_bad_element(tmp_path, capsys):
     cov.write_text(json.dumps({"n": 2, "data": [1.0, 0.0, "0", 1.0]}))
     rc = main(["solve", "--cov", str(cov), "--important", "0", "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "covariance JSON key 'data': element 2 must be a number" in capsys.readouterr().err
+    assert "covariance JSON key 'data': must be numbers, got str at element 2" in capsys.readouterr().err
 
 
 def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ dump).  ``Spy`` records that the helpers really ran.
 import concurrent.futures
 import json
 import multiprocessing
+import re
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -17,11 +18,11 @@ import numpy as np
 import pytest
 
 from ggm_select import nodes
+from ggm_select._inputs import number_array
 from ggm_select.nodes import (
     TensorKey,
     _parse_record,
     _spells_a_boolean,
-    _vector,
     read_score_dump,
     replay_scores,
     sensitivity,
@@ -261,26 +262,38 @@ def test_small_dumps_one_file_one_cpu_and_child_processes_read_here(monkeypatch,
     ({"a": 1.0}, "dict"),
     (None, "NoneType"),
     ([[1.0, 0.0]], "list"),
+    ([0.5, float("inf")], "inf"),
+    ([0.5, 1.0, float("nan")], "nan"),
+    (2.0, "float"),
 ])
 def test_vector_refuses_what_is_not_a_number(values, refused):
-    with pytest.raises(TypeError, match=f"must be numbers, got {refused}$"):
-        _vector(values)
+    """A list is refused at its first bad element; anything but a list is refused whole."""
+    if not isinstance(values, list):
+        error, message = TypeError, f"must be an array of numbers, got {refused}"
+    elif refused in ("inf", "nan"):
+        error, message = ValueError, f"must be finite, got {refused} at element {len(values) - 1}"
+    else:
+        first = [type(item).__name__ for item in values].index(refused)
+        error, message = TypeError, f"must be numbers, got {refused} at element {first}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        number_array(values)
 
 
 @pytest.mark.parametrize("values", [
-    [0.0, 1.0, -0.0, 0.5], [0, 1, 2], [1, 0.5], [2**70, 1.0], [2**64 - 1], [], [0.5, float("inf")],
-    [1e308, 5e-324], 2.0,
+    [0.0, 1.0, -0.0, 0.5], [0, 1, 2], [1, 0.5], [2**70, 1.0], [2**64 - 1], [], [1e308, 5e-324],
+    [2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)],  # the largest integers that round to a float
 ])
 def test_vector_takes_numbers_as_a_float_conversion_does(values):
-    got = _vector(values)
+    got = number_array(values)
     want = np.asarray(values, dtype=float)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 def test_vector_refuses_an_integer_too_large_for_a_float():
-    with pytest.raises(ValueError, match="must be numbers, got an integer too large for a float"):
-        _vector([0.5, 10**400])
+    for values, element in ([0.5, 10**400], 1), ([2**1024 - 2**970, 1.0], 0), ([1.0, -(2**1024 - 2**970)], 1):
+        with pytest.raises(ValueError, match=f"^must be numbers, got an integer too large for a float at element {element}$"):
+            number_array(values)
 
 
 @pytest.mark.parametrize("text, spelled", [
@@ -299,6 +312,6 @@ def test_spells_a_boolean_finds_the_json_words(text, spelled):
 
 
 def test_vector_skips_the_scan_only_when_told_the_text_spells_no_boolean():
-    assert _vector([True, 0.5], booleans=False).tolist() == [1.0, 0.5]
-    with pytest.raises(TypeError, match="got bool"):
-        _vector([True, 0.5])
+    assert number_array([True, 0.5], booleans=False).tolist() == [1.0, 0.5]
+    with pytest.raises(TypeError, match="got bool at element 0"):
+        number_array([True, 0.5])
