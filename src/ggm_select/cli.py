@@ -176,8 +176,12 @@ def cmd_prox(args) -> int:
 
 
 def _load_mean_vector(path: Path) -> np.ndarray:
-    vec = np.loadtxt(path, delimiter=",", dtype=float)
-    return np.atleast_1d(vec).ravel()
+    vec = np.atleast_1d(np.loadtxt(path, delimiter=",", dtype=float)).ravel()
+    finite = np.isfinite(vec)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"mean file {path}: must be finite, got {vec[index]} at element {index}")
+    return vec
 
 
 def cmd_solve(args) -> int:
@@ -303,6 +307,10 @@ def cmd_simulate(args) -> int:
         seeds = list(_parse_index_list(args.seeds))
         if not seeds:
             raise ValueError("--seeds list is empty")
+        repeated = [seed for seed in seeds if seeds.count(seed) > 1]
+        if repeated:
+            # every run of a seed writes the same seed_<n>/ directory
+            raise ValueError(f"--seeds repeats seed {repeated[0]}")
         runs = [(seed, str(out_root / f"seed_{seed}")) for seed in seeds]
     else:
         seed = args.seed if args.seed is not None else base_seed

@@ -142,6 +142,19 @@ def test_solve_ranks_mean_for_important(tmp_path):
     assert "mean" in manifest["input_digests"]
 
 
+@pytest.mark.parametrize("text, shown", [("nan,1", "nan at element 0"), ("1,-inf,0.5", "-inf at element 1")])
+def test_solve_refuses_a_mean_that_is_not_finite(tmp_path, capsys, text, shown):
+    cov = tmp_path / "cov.csv"
+    _write_cov(cov, np.eye(len(text.split(","))))
+    mean = tmp_path / "mean.csv"
+    mean.write_text(text + "\n")
+    out = tmp_path / "run"
+    rc = main(["solve", "--cov", str(cov), "--h", "1", "--mean", str(mean), "--out", str(out)])
+    assert rc == 2
+    assert f"mean file {mean}: must be finite, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_missing_covariance_is_io_error(tmp_path, capsys):
     rc = main(["solve", "--cov", str(tmp_path / "nope.csv"), "--important", "0",
                "--out", str(tmp_path / "run")])
@@ -326,6 +339,22 @@ def test_covariance_json_data_names_the_bad_element(tmp_path, capsys):
     assert "covariance JSON key 'data': must be numbers, got str at element 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, refused", [
+    ("[1.0, 0.0, true, 1.0]", "must be numbers, got bool at element 2"),
+    ("[1.0, 0.0, NaN, 1.0]", "must be finite, got nan at element 2"),
+    ("[1.0, 0.0, Infinity, 1.0]", "must be finite, got inf at element 2"),
+    ("[[1.0, 0.0], [0.0, 1.0]]", "must be numbers, got list at element 0"),
+    ("2.0", "must be an array of numbers, got float"),
+], ids=["true", "nan", "infinity", "nested", "bare_number"])
+def test_covariance_json_data_refuses_what_is_not_a_finite_number(tmp_path, capsys, data, refused):
+    cov = tmp_path / "cov.json"
+    n = 1 if data == "2.0" else 2
+    cov.write_text(f'{{"n": {n}, "data": {data}}}')
+    rc = main(["solve", "--cov", str(cov), "--important", "0", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"covariance JSON key 'data': {refused}" in capsys.readouterr().err
+
+
 def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):
     started = []
 
@@ -353,6 +382,17 @@ def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):
     assert rc == 0
     assert started == [2]
     assert (tmp_path / "sweep" / "seed_2" / "selection.json").exists()
+
+
+@pytest.mark.parametrize("seeds, repeated", [("1,1", 1), ("2,1,3,1,2", 2)])
+def test_simulate_refuses_repeated_seeds(tmp_path, capsys, seeds, repeated):
+    config = _small_config(tmp_path)
+    out = tmp_path / "sweep"
+    rc = main(["simulate", "--config", str(config), "--out", str(out),
+               "--seeds", seeds, "--jobs", "2"])
+    assert rc == 2
+    assert f"--seeds repeats seed {repeated}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -584,3 +624,19 @@ def test_score_names_a_dump_file_that_is_not_utf8(tmp_path, capsys):
     rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "error: b.json: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("key, new, refused", [
+    ("values", 2.0, "must be an array of numbers, got float"),
+    ("tensor", 5, "must be a string, got 5"),
+])
+def test_score_names_the_key_of_a_record_value_of_the_wrong_type(tmp_path, capsys, key, new, refused):
+    records = _pair_dump_records()
+    records[3][key] = new
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    (dump / "steps.json").write_text(json.dumps(records))
+    rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert f"steps.json: record 3 key {key!r}: {refused}" in capsys.readouterr().err
