@@ -465,7 +465,7 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
     return PrecisionMatrix(omega)
 
 
-def update_auxiliary(omega, problem: GgmProblem, prox_tol: float = 1e-10) -> AuxMatrix:
+def update_auxiliary(omega, problem: GgmProblem) -> AuxMatrix:
     """Exact maximizer of the Delta block given Omega.
 
     Entries outside the group mask are copied from Omega.  Every penalized
@@ -480,7 +480,7 @@ def update_auxiliary(omega, problem: GgmProblem, prox_tol: float = 1e-10) -> Aux
     columns, mask = _group_structure(problem)
     norms = _masked_column_norms(om, mask)[columns]
     weight = problem.tau / (2.0 * problem.lam)
-    alpha = solve_threshold_batch(norms, weight, problem.g, prox_tol).x_star
+    alpha = solve_threshold_batch(norms, weight, problem.g).x_star
     scale = np.ones(problem.n)
     scale[columns] = np.divide(alpha, norms, out=np.ones_like(norms), where=norms > 0.0)
     return AuxMatrix(np.where(mask, om * scale, om))
