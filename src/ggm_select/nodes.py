@@ -617,7 +617,8 @@ def read_score_dump(dump_dir):
     Every ``*.json`` file holds one record object or a list of them; records
     are pooled across files and grouped by step (ascending).  ``step``,
     ``layer_id`` and ``index`` must be JSON integers (a bias ``index`` may
-    be absent or null), ``values`` and ``grads`` arrays of JSON numbers,
+    be absent or null), ``tensor`` a JSON string, ``values`` and ``grads``
+    arrays of finite JSON numbers (read by :func:`_inputs.number_array`),
     and keys without a reader are ignored.  Malformed records raise
     ValueError naming the file and record position.
 
