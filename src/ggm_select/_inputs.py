@@ -1,7 +1,12 @@
-"""The one rule for values read from JSON inputs.
+"""The one rule for input files and the values read from them.
+
+Every input file is read here, as UTF-8 whatever the locale, and every
+refusal of its text names the file: :func:`json_file` parses the run
+config, a covariance JSON and each score-dump file, and
+:func:`number_table` reads a covariance CSV and a ``--mean`` file.
 
 Every value of the run config, covariance files and score-dump records
-passes through here, and so does every array of numbers among them:
+passes through here too, and so does every array of numbers among them:
 covariance ``data`` and dump ``values`` and ``grads``, which
 :func:`number_array` turns into float64 NumPy arrays.  ``json`` gives
 integers as ``int``, other numbers as ``float`` and ``true``/``false`` as
@@ -15,8 +20,11 @@ key of a JSON object and names the object and the key in every error.
 
 from __future__ import annotations
 
+import json
+import math
 import struct
 from numbers import Integral, Real
+from pathlib import Path
 
 import numpy as np
 
@@ -113,3 +121,58 @@ def read_object(obj, where: str, readers: dict, required=(), closed=True) -> dic
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where} key {key!r}: {exc}") from exc
     return values
+
+
+def json_file(path, hook=None):
+    """The JSON value in the file ``path``, read as UTF-8 whatever the locale.
+
+    ``hook(text)``, if given, returns the ``object_hook`` for the file's
+    text.  Text that is not UTF-8 or not JSON raises ValueError naming the
+    file.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+        return json.loads(text, object_hook=hook(text) if hook else None)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def number_table(path, what: str) -> np.ndarray:
+    """The headerless CSV file ``path`` as a 2-D float64 array, one row per line.
+
+    The file is read as UTF-8.  Text from ``#`` to the end of a line is a
+    comment, blank lines are skipped, fields may have spaces around them
+    and lines may end in CRLF.  Ragged rows, fields that are not finite
+    numbers and a file without numbers raise ValueError naming ``what``,
+    the file and the 1-based line (and column).
+    """
+    where = f"{what} {path}"
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: not UTF-8 text: {exc}") from exc
+    rows = []
+    for line_no, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0]
+        if not text.strip():
+            continue
+        row = []
+        for column, field in enumerate(text.split(","), 1):
+            try:
+                value = float(field)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: line {line_no} column {column}: "
+                                 f"must be a finite number, got {field.strip()!r}")
+            row.append(value)
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{where}: line {line_no}: expected {len(rows[0])} fields as in the first row, "
+                             f"got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{where}: holds no numbers")
+    return np.array(rows)

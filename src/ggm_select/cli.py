@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._inputs import json_file, number_table
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -176,12 +177,11 @@ def cmd_prox(args) -> int:
 
 
 def _load_mean_vector(path: Path) -> np.ndarray:
-    vec = np.atleast_1d(np.loadtxt(path, delimiter=",", dtype=float)).ravel()
-    finite = np.isfinite(vec)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise ValueError(f"mean file {path}: must be finite, got {vec[index]} at element {index}")
-    return vec
+    table = number_table(path, "mean file")
+    if 1 not in table.shape:
+        rows, columns = table.shape
+        raise ValueError(f"mean file {path}: must be one row or one column, got {rows} x {columns}")
+    return table.ravel()
 
 
 def cmd_solve(args) -> int:
@@ -298,7 +298,7 @@ def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    payload = json.loads(config_path.read_text())
+    payload = json_file(config_path)
     # validate before launching any runs so flag errors surface immediately
     base_seed = PipelineConfig.from_json_dict(payload).seed
 

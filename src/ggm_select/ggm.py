@@ -53,7 +53,6 @@ reports can be shared freely across threads.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -61,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import integer, number, number_array, read_object
+from ._inputs import integer, json_file, number, number_array, number_table, read_object
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
@@ -668,7 +667,7 @@ def load_covariance(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         payload = read_object(
-            json.loads(path.read_text()), "covariance JSON",
+            json_file(path), "covariance JSON",
             {"n": integer, "data": number_array},
             required=("n", "data"), closed=False,
         )
@@ -676,7 +675,7 @@ def load_covariance(path) -> np.ndarray:
         if data.size != n * n:
             raise ValueError(f"covariance JSON: expected {n * n} values, got {data.size}")
         return data.reshape(n, n)
-    mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    mat = number_table(path, "covariance CSV")
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"covariance CSV must be square, got shape {mat.shape}")
     return mat

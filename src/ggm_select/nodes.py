@@ -24,7 +24,6 @@ indices are 0-based throughout.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csv import BLOCK_VALUES, format_rows
-from ._inputs import integer, number_array, read_object, string
+from ._inputs import integer, json_file, number_array, read_object, string
 from .errors import NumericalError
 
 __all__ = [
@@ -400,28 +399,14 @@ def _layout_from_keys(keys) -> list:
     return layers
 
 
-def _length(entry) -> int:
-    """Length of a tensor given as a ``(values, grads)`` pair or as a sensitivity array."""
-    return np.size(entry if isinstance(entry, np.ndarray) else entry[0])
-
-
-def _stacked_sensitivity(entries) -> np.ndarray:
-    """One row of |values * grads| per tensor, from pairs or from sensitivity arrays."""
-    if isinstance(entries[0], np.ndarray):
-        return np.stack(entries)
-    values, grads = zip(*entries)
-    return sensitivity(np.stack(values), np.stack(grads))
-
-
 def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
     """Run the EMA score recursion over an in-memory step stream.
 
-    ``steps`` is a sequence of dicts mapping :class:`TensorKey` to a
-    ``(values, grads)`` pair or to its sensitivity array |values * grads|,
-    as :func:`read_score_dump` gives; both replay to
-    the same bits.  Every step must cover exactly the same tensor set, and
-    all tensors of one kind in a layer share the length they have at step
-    0.  Each step stacks a layer's A tensors, its B tensors and its bias,
+    ``steps`` is a sequence of dicts mapping :class:`TensorKey` to a 1-D
+    :func:`sensitivity` array |values * grads|, as :func:`read_score_dump`
+    gives.  Every step must cover exactly the same tensor set, and all
+    tensors of one kind in a layer share the length they have at step 0.
+    Each step stacks a layer's A tensors, its B tensors and its bias,
     one kind at a time, and advances that (layer, kind) state with one
     :func:`update_score` call.  Returns the node-value sample matrix, one
     row per step, columns in layout order (layers ascending, pairs then bias).
@@ -431,7 +416,7 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
     layers = _layout_from_keys(steps[0].keys())
     states = {
         (layer_id, kind): ImportanceState.zeros(
-            (len(keys), _length(steps[0][keys[0]])), beta1, beta2)
+            (len(keys), np.size(steps[0][keys[0]])), beta1, beta2)
         for layer_id, groups in layers
         for kind, keys in groups.items()
     }
@@ -451,7 +436,7 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
             for kind, keys in groups.items():
                 state = states[layer_id, kind]
                 try:
-                    sens = _stacked_sensitivity([step[key] for key in keys])
+                    sens = np.stack([step[key] for key in keys])
                 except ValueError:
                     sens = None
                 if sens is None or sens.shape != state.mean.shape:
@@ -550,14 +535,8 @@ def _read_file(path: Path):
     """
     records, arrays, error = [], [], None
     try:
-        try:
-            text = path.read_text(encoding="utf-8")  # JSON text is UTF-8 whatever the locale
-            hook = functools.partial(_decode_vectors, booleans=_spells_a_boolean(text))
-            payload = json.loads(text, object_hook=hook)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        payload = json_file(path, lambda text: functools.partial(
+            _decode_vectors, booleans=_spells_a_boolean(text)))
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):
             step, key, values, grads = _parse_record(record, f"{path.name}: record {pos}")
             records.append((step, key, values.size))

@@ -25,15 +25,13 @@ sequential.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ._inputs import boolean, integer, number, read_object, string
+from ._inputs import boolean, integer, json_file, number, read_object, string
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -311,7 +309,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(json_file(path))
 
     def to_json_dict(self) -> dict:
         payload = {

@@ -21,7 +21,7 @@ from ggm_select.ggm import (
     update_precision,
     update_precision_eig,
 )
-from ggm_select.nodes import ImportanceState, decompose_layer, replay_scores, update_score
+from ggm_select.nodes import ImportanceState, decompose_layer, replay_scores, sensitivity, update_score
 from ggm_select.nodes import TensorKey
 from ggm_select.pipeline import PipelineConfig, make_planted, recovery_f1, run_pipeline
 from ggm_select.nodes import sample_statistics
@@ -263,9 +263,9 @@ def test_criterion_8_scoring_closed_forms_and_energy():
 
         # dead EMAs produce exactly zero node values
         step = {
-            TensorKey(0, "A", 0): (rng.standard_normal(4), rng.standard_normal(4)),
-            TensorKey(0, "B", 0): (rng.standard_normal(3), rng.standard_normal(3)),
-            TensorKey(0, "b"): (rng.standard_normal(4), rng.standard_normal(4)),
+            TensorKey(0, "A", 0): sensitivity(rng.standard_normal(4), rng.standard_normal(4)),
+            TensorKey(0, "B", 0): sensitivity(rng.standard_normal(3), rng.standard_normal(3)),
+            TensorKey(0, "b"): sensitivity(rng.standard_normal(4), rng.standard_normal(4)),
         }
         dead = replay_scores([step], beta1=0.0, beta2=0.0)
         zeros_ok = bool(np.all(dead.values == 0.0))

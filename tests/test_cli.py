@@ -142,7 +142,8 @@ def test_solve_ranks_mean_for_important(tmp_path):
     assert "mean" in manifest["input_digests"]
 
 
-@pytest.mark.parametrize("text, shown", [("nan,1", "nan at element 0"), ("1,-inf,0.5", "-inf at element 1")])
+@pytest.mark.parametrize("text, shown", [("nan,1", "line 1 column 1: must be a finite number, got 'nan'"),
+                                         ("1,-inf,0.5", "line 1 column 2: must be a finite number, got '-inf'")])
 def test_solve_refuses_a_mean_that_is_not_finite(tmp_path, capsys, text, shown):
     cov = tmp_path / "cov.csv"
     _write_cov(cov, np.eye(len(text.split(","))))
@@ -151,7 +152,7 @@ def test_solve_refuses_a_mean_that_is_not_finite(tmp_path, capsys, text, shown):
     out = tmp_path / "run"
     rc = main(["solve", "--cov", str(cov), "--h", "1", "--mean", str(mean), "--out", str(out)])
     assert rc == 2
-    assert f"mean file {mean}: must be finite, got {shown}" in capsys.readouterr().err
+    assert f"mean file {mean}: {shown}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -125,7 +125,8 @@ def test_helpers_read_a_seeded_dump_as_the_serial_reader(helpers, tmp_path):
 @pytest.mark.parametrize("dump", ["fixture", "seeded"])
 def test_the_reduced_form_replays_bit_equal_to_the_pair_form(tmp_path, dump):
     dump = FIXTURE_DUMP if dump == "fixture" else _seeded_dump(tmp_path / "dump")
-    pairs = replay_scores(_plain_pairs(dump), 0.85, 0.85)
+    pairs = replay_scores([{key: sensitivity(*pair) for key, pair in step.items()}
+                           for step in _plain_pairs(dump)], 0.85, 0.85)
     reduced = replay_scores(read_score_dump(dump), 0.85, 0.85)
     assert reduced.values.tobytes() == pairs.values.tobytes()
     assert reduced.names == pairs.names

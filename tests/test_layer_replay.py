@@ -31,9 +31,9 @@ def _stream(seed, steps=6, layers=LAYERS):
         step = {}
         for layer_id, d1, d2, r in layers:
             for i in range(r):
-                step[TensorKey(layer_id, "A", i)] = tuple(rng.standard_normal((2, d1)))
-                step[TensorKey(layer_id, "B", i)] = tuple(rng.standard_normal((2, d2)))
-            step[TensorKey(layer_id, "b")] = tuple(rng.standard_normal((2, d1)))
+                step[TensorKey(layer_id, "A", i)] = sensitivity(*rng.standard_normal((2, d1)))
+                step[TensorKey(layer_id, "B", i)] = sensitivity(*rng.standard_normal((2, d2)))
+            step[TensorKey(layer_id, "b")] = sensitivity(*rng.standard_normal((2, d1)))
         keys = list(step)
         rng.shuffle(keys)  # replay must not rely on insertion order
         stream.append({key: step[key] for key in keys})
@@ -45,12 +45,12 @@ def _per_tensor_replay(steps, beta1, beta2):
     keys = sorted(steps[0], key=TensorKey.sort_key)
     layer_ids = sorted({key.layer_id for key in keys})
     ranks = {lid: sum(k.layer_id == lid and k.kind == "A" for k in keys) for lid in layer_ids}
-    states = {key: ImportanceState.zeros(steps[0][key][0].shape, beta1, beta2) for key in keys}
+    states = {key: ImportanceState.zeros(steps[0][key].shape, beta1, beta2) for key in keys}
     rows = []
     for step in steps:
         scores = {}
         for key in keys:
-            states[key], scores[key] = update_score(states[key], sensitivity(*step[key]))
+            states[key], scores[key] = update_score(states[key], step[key])
         row = []
         for lid in layer_ids:
             for i in range(ranks[lid]):
@@ -101,8 +101,7 @@ def test_pair_value_of_a_stack_equals_row_calls_bit_for_bit(r, d1, d2):
 def test_later_step_with_wrong_length_names_step_layer_and_kind(kind):
     steps = _stream(3, steps=5)
     key = TensorKey(3, kind, None if kind == "b" else 0)
-    values, grads = steps[3][key]
-    steps[3][key] = (values[:-1], grads[:-1])
+    steps[3][key] = steps[3][key][:-1]
     with pytest.raises(ValueError, match=rf"step 3: layer 3: every {kind} tensor"):
         replay_scores(steps, 0.85, 0.85)
 
@@ -110,7 +109,6 @@ def test_later_step_with_wrong_length_names_step_layer_and_kind(kind):
 def test_step_zero_pair_tensor_must_match_the_first_of_its_kind():
     steps = _stream(4, steps=2)
     key = TensorKey(7, "A", 2)
-    values, grads = steps[0][key]
-    steps[0][key] = (values[:-5], grads[:-5])
+    steps[0][key] = steps[0][key][:-5]
     with pytest.raises(ValueError, match="step 0: layer 7: every A tensor must have length 350"):
         replay_scores(steps, 0.85, 0.85)

@@ -382,9 +382,9 @@ def test_layer_shape_bounds():
 
 def _step(a_vals, a_grads, b_vals, b_grads, bias_vals, bias_grads):
     return {
-        TensorKey(0, "A", 0): (np.asarray(a_vals, float), np.asarray(a_grads, float)),
-        TensorKey(0, "B", 0): (np.asarray(b_vals, float), np.asarray(b_grads, float)),
-        TensorKey(0, "b"): (np.asarray(bias_vals, float), np.asarray(bias_grads, float)),
+        TensorKey(0, "A", 0): sensitivity(np.asarray(a_vals, float), np.asarray(a_grads, float)),
+        TensorKey(0, "B", 0): sensitivity(np.asarray(b_vals, float), np.asarray(b_grads, float)),
+        TensorKey(0, "b"): sensitivity(np.asarray(bias_vals, float), np.asarray(bias_grads, float)),
     }
 
 
@@ -425,12 +425,12 @@ def test_replay_rejects_empty_stream():
 
 def test_replay_two_layers_orders_columns():
     step = {
-        TensorKey(1, "A", 0): (np.ones(2), np.ones(2)),
-        TensorKey(1, "b"): (np.ones(2), np.ones(2)),
-        TensorKey(0, "A", 0): (np.ones(3), np.ones(3)),
-        TensorKey(0, "b"): (np.ones(3), np.ones(3)),
-        TensorKey(0, "B", 0): (np.ones(4), np.ones(4)),
-        TensorKey(1, "B", 0): (np.ones(4), np.ones(4)),
+        TensorKey(1, "A", 0): sensitivity(np.ones(2), np.ones(2)),
+        TensorKey(1, "b"): sensitivity(np.ones(2), np.ones(2)),
+        TensorKey(0, "A", 0): sensitivity(np.ones(3), np.ones(3)),
+        TensorKey(0, "b"): sensitivity(np.ones(3), np.ones(3)),
+        TensorKey(0, "B", 0): sensitivity(np.ones(4), np.ones(4)),
+        TensorKey(1, "B", 0): sensitivity(np.ones(4), np.ones(4)),
     }
     samples = replay_scores([step], 0.5, 0.5)
     assert samples.names == ("L0:A0", "L0:b", "L1:A0", "L1:b")
