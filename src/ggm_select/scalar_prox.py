@@ -200,15 +200,24 @@ def apply_threshold(value: float, lam: float, g: SurrogateSpec,
     return math.copysign(sol.x_star, value) if sol.x_star != 0.0 else 0.0
 
 
+# The oracle's grid takes about 31 bytes per point (188 MB at 5e6 points),
+# so this bound, 20 times the default grid at y = 5, is about 3 GB.
+ORACLE_MAX_POINTS = 10**8
+
+
 def oracle_threshold(problem: ProxProblem, grid_step: float) -> float:
     """Brute-force reference minimizer: dense grid on [0, y], then trisection.
 
     Used by tests and the CLI ``prox --oracle`` mode only; independent of
-    :func:`solve_threshold`.
+    :func:`solve_threshold`.  A grid of more than ``ORACLE_MAX_POINTS``
+    points is refused.
     """
     if not grid_step > 0.0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     y = problem.y
+    if y / grid_step > ORACLE_MAX_POINTS:
+        raise ValueError(f"grid_step {grid_step} makes a grid of {y / grid_step:.3g} points on [0, {y}], "
+                         f"more than {ORACLE_MAX_POINTS:.0e}")
     if y == 0.0:
         return 0.0
 

@@ -61,6 +61,18 @@ def test_prox_oracle_gap(capsys):
     assert payload["objective"] <= payload["objective"] + 1e-12
 
 
+def test_prox_oracle_refuses_a_grid_too_large_to_allocate(capsys):
+    rc = main(["prox", "--y", "1", "--lam", "0.5", "--oracle", "--oracle-step", "1e-15"])
+    assert rc == 2
+    assert "grid of 1e+15 points" in capsys.readouterr().err
+
+
+def test_prox_oracle_default_grid_still_runs(capsys):
+    rc = main(["prox", "--y", "1", "--lam", "0.5", "--oracle"])
+    assert rc == 0
+    assert abs(json.loads(capsys.readouterr().out)["gap"]) <= 1e-6
+
+
 def test_prox_requires_y():
     with pytest.raises(SystemExit) as excinfo:
         main(["prox", "--lam", "0.5"])
