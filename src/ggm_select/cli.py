@@ -83,7 +83,7 @@ def _dump_json(payload: dict, path: Path) -> None:
     ``true``, ``false``, ``NaN`` or ``Infinity`` never contains ``", "``.
     Empty containers and scalars go through ``json.dumps``.
     """
-    with path.open("w") as handle:
+    with path.open("w", encoding="utf-8") as handle:
         _write_json(handle.write, payload, "\n")
         handle.write("\n")
 

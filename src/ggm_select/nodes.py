@@ -307,7 +307,7 @@ class SampleSet:
     @classmethod
     def load_csv(cls, path) -> "SampleSet":
         path = Path(path)
-        with path.open() as handle:
+        with path.open(encoding="utf-8") as handle:
             header = handle.readline().strip()
             if not header:
                 raise ValueError(f"{path.name}: missing header row")
