@@ -9,6 +9,7 @@ import pytest
 
 from ggm_select import cli
 from ggm_select.cli import build_parser, main
+from ggm_select.ggm import load_covariance
 from ggm_select.nodes import SampleSet, sample_statistics
 from ggm_select.pipeline import PipelineConfig
 from ggm_select.scalar_prox import ProxProblem
@@ -173,6 +174,50 @@ def test_solve_missing_covariance_is_io_error(tmp_path, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+# (input, file name, file bytes): text the readers refuse, each naming the file
+_UNREADABLE_FILES = {
+    "cov_csv_nan": ("cov", "sigma.csv", b"1,0\n0,nan\n"),
+    "cov_csv_ragged": ("cov", "sigma.csv", b"1,0\n0\n"),
+    "cov_csv_not_a_number": ("cov", "sigma.csv", b"1,x\n0,1\n"),
+    "cov_csv_empty": ("cov", "sigma.csv", b""),
+    "cov_csv_not_utf8": ("cov", "sigma.csv", b"1,0\n0,\xff\n"),
+    "cov_json_truncated": ("cov", "sigma.json", b'{"n": 1, "data": [1.0'),
+    "cov_json_not_utf8": ("cov", "sigma.json", b'\xff{"n": 1, "data": [1.0]}'),
+    "config_truncated": ("config", "run.json", b'{"mode": "planted", '),
+    "mean_two_by_two": ("mean", "mu.csv", b"0.1,0.9\n0.5,0.2\n"),
+    "mean_empty": ("mean", "mu.csv", b""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_FILES))
+def test_an_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, case):
+    kind, name, content = _UNREADABLE_FILES[case]
+    path = tmp_path / name
+    path.write_bytes(content)
+    out = str(tmp_path / "run")
+    if kind == "config":
+        argv = ["simulate", "--config", str(path), "--out", out]
+    elif kind == "cov":
+        argv = ["solve", "--cov", str(path), "--important", "0", "--out", out]
+    else:
+        _write_cov(tmp_path / "eye.csv", np.eye(4))
+        argv = ["solve", "--cov", str(tmp_path / "eye.csv"), "--h", "1", "--mean", str(path), "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err and "usecols" not in err
+
+
+def test_csv_comments_blank_lines_spaces_and_crlf_read_as_plain_csv(tmp_path):
+    _write_cov(tmp_path / "plain.csv", [[2.0, 0.5, 0.0], [0.5, 1.5, 0.25], [0.0, 0.25, 1.0]])
+    loose = tmp_path / "loose.csv"
+    loose.write_bytes(b"# covariance\r\n2, 0.5 ,0\r\n\r\n 0.5,1.5,0.25 # row 1\r\n0,0.25,1\r\n")
+    column = tmp_path / "column.csv"
+    column.write_bytes(b"# mean\r\n0.1\r\n 0.9 \r\n\r\n0.5\r\n")
+    np.testing.assert_array_equal(load_covariance(loose), load_covariance(tmp_path / "plain.csv"))
+    np.testing.assert_array_equal(cli._load_mean_vector(column), [0.1, 0.9, 0.5])
 
 
 # -------------------------------------------------------------------- simulate
