@@ -179,8 +179,7 @@ def cmd_prox(args) -> int:
 def _load_mean_vector(path: Path) -> np.ndarray:
     table = number_table(path, "mean file")
     if 1 not in table.shape:
-        rows, columns = table.shape
-        raise ValueError(f"mean file {path}: must be one row or one column, got {rows} x {columns}")
+        raise ValueError(f"mean file {path}: must be one row or one column, got shape {table.shape}")
     return table.ravel()
 
 
