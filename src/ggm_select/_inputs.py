@@ -1,9 +1,8 @@
 """The one rule for input files and the values read from them.
 
-Every input file is read here, as UTF-8 whatever the locale, and every
-refusal of its text names the file: :func:`json_file` parses the run
-config, a covariance JSON and each score-dump file, and
-:func:`number_table` reads a covariance CSV and a ``--mean`` file.
+:func:`json_file` (config, covariance JSON, score dumps) and
+:func:`number_table` (covariance CSV, ``--mean``) read every input file as
+UTF-8 whatever the locale, and every refusal of a file's text names it.
 
 Every value of the run config, covariance files and score-dump records
 passes through here too, and so does every array of numbers among them:
@@ -165,7 +164,7 @@ def number_table(path, what: str) -> np.ndarray:
                 value = float(field)
             except ValueError:
                 value = math.nan
-            if not math.isfinite(value):
+            if not math.isfinite(value) or "_" in field:  # float() reads 1_0 as 10
                 raise ValueError(f"{where}: line {line_no} column {column}: "
                                  f"must be a finite number, got {field.strip()!r}")
             row.append(value)

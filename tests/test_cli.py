@@ -181,6 +181,7 @@ _UNREADABLE_FILES = {
     "cov_csv_nan": ("cov", "sigma.csv", b"1,0\n0,nan\n"),
     "cov_csv_ragged": ("cov", "sigma.csv", b"1,0\n0\n"),
     "cov_csv_not_a_number": ("cov", "sigma.csv", b"1,x\n0,1\n"),
+    "cov_csv_digit_separator": ("cov", "sigma.csv", b"1_0,0\n0,1\n"),
     "cov_csv_empty": ("cov", "sigma.csv", b""),
     "cov_csv_not_utf8": ("cov", "sigma.csv", b"1,0\n0,\xff\n"),
     "cov_json_truncated": ("cov", "sigma.json", b'{"n": 1, "data": [1.0'),
