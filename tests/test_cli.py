@@ -156,7 +156,8 @@ def test_solve_ranks_mean_for_important(tmp_path):
 
 
 @pytest.mark.parametrize("text, shown", [("nan,1", "line 1 column 1: must be a finite number, got 'nan'"),
-                                         ("1,-inf,0.5", "line 1 column 2: must be a finite number, got '-inf'")])
+                                         ("1,-inf,0.5", "line 1 column 2: must be a finite number, got '-inf'")],
+                         ids=["nan", "minus_inf"])
 def test_solve_refuses_a_mean_that_is_not_finite(tmp_path, capsys, text, shown):
     cov = tmp_path / "cov.csv"
     _write_cov(cov, np.eye(len(text.split(","))))
