@@ -471,7 +471,7 @@ def _spells_a_boolean(text: str) -> bool:
 
 
 def _decode_vectors(obj: dict, booleans: bool = True) -> dict:
-    """``json.loads`` object hook: ``values``/``grads`` as float arrays as soon as an object is decoded.
+    """JSON object hook: ``values``/``grads`` as float arrays as soon as an object is decoded.
 
     Converting per object keeps only one record's float lists alive at a
     time instead of the whole file's.  ``booleans`` is passed to
