@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -512,13 +514,17 @@ def _parse_record(record, where: str):
 
 
 # Helpers parse a dump only if each gets at least this many bytes.  One
-# process parses dump JSON at about 40 MB/s; a helper takes about 0.5 s to
-# start (an interpreter importing NumPy and this package), and two helpers
-# on two CPUs each parse about 20 % slower than one process alone.  On a
-# 2-vCPU x86_64 box two helpers broke even with the serial read at 40-50 MB
-# (medians of 7 alternations): 1.07 s against 1.00 s at 39 MB, 1.15 s
-# against 1.25 s at 52 MB, 1.32 s against 1.55 s at 65 MB.  More than two
-# helpers (one per CPU on a larger machine) have not been measured.
+# process parses dump JSON at about 40 MB/s, and two helpers on two CPUs
+# each parse about 20 % slower than one process alone.  A spawn helper takes
+# about 0.5 s to start (an interpreter importing NumPy and this package): on
+# a 2-vCPU x86_64 box two spawn helpers broke even with the serial read at
+# 40-50 MB (medians of 7 alternations): 1.07 s against 1.00 s at 39 MB,
+# 1.15 s against 1.25 s at 52 MB, 1.32 s against 1.55 s at 65 MB.  A fork
+# helper starts at once, and on Linux two of them already win at 13 MB:
+# 0.23-0.26 s against 0.24-0.30 s at 13 MB, 0.42 s against 0.60-0.66 s at
+# 26 MB (two sets of 7 alternations on the same box).  The constant waits
+# for a benchmark workload with a dump this small (ROADMAP item 3).  More
+# than two helpers (one per CPU on a larger machine) have not been measured.
 _HELPER_MIN_BYTES = 24_000_000
 
 
@@ -556,10 +562,12 @@ def _usable_cpus() -> int:
 def _read_files(files: list):
     """:func:`_read_file` of each file, in order; in helper processes when that pays.
 
-    One ``spawn`` helper per usable CPU, and no more than there are files or
+    One helper per usable CPU, and no more than there are files or
     multiples of ``_HELPER_MIN_BYTES``; with fewer than two, the files are
-    read here, one at a time.  Results stop at the first file that failed.
-    If the helpers cannot start or die, the files are read here.
+    read here, one at a time.  Helpers start by ``fork`` on Linux when this
+    process runs one Python thread, and by ``spawn`` everywhere else.
+    Results stop at the first file that failed.  If the helpers cannot
+    start or die, the files are read here.
     """
     try:
         size = sum(file.stat().st_size for file in files)
@@ -576,7 +584,11 @@ def _read_files(files: list):
         if multiprocessing.parent_process() is None:
             results = []
             try:
-                pool = ProcessPoolExecutor(helpers, mp_context=multiprocessing.get_context("spawn"))
+                # a forked helper starts at once, but another thread may hold a
+                # lock that it inherits, and macOS libraries are not fork-safe
+                fork = sys.platform == "linux" and threading.active_count() == 1
+                context = multiprocessing.get_context("fork" if fork else "spawn")
+                pool = ProcessPoolExecutor(helpers, mp_context=context)
                 try:
                     for result in pool.map(_read_file, files):
                         results.append(result)
@@ -605,13 +617,14 @@ def read_score_dump(dump_dir):
     :func:`sensitivity` |values * grads|, which is all :func:`replay_scores`
     uses and half the memory of the values and grads; a record whose
     product overflows a float is refused.  A dump of several files and at
-    least twice ``_HELPER_MIN_BYTES`` is parsed in ``spawn`` helper
-    processes, one per usable CPU (see :func:`_read_files`), so a script
-    that calls this on such a dump needs the ``if __name__ == "__main__":``
-    guard: without it each helper runs the script's top-level code again
-    before it fails and the dump is read here.  Files are merged in name
-    order, so the result and the first error are those of a read file by
-    file.
+    least twice ``_HELPER_MIN_BYTES`` is parsed in helper processes, one
+    per usable CPU (see :func:`_read_files`).  They are forked on Linux
+    when the caller runs one Python thread, and spawned otherwise; a script
+    that calls this on such a dump where helpers spawn needs the
+    ``if __name__ == "__main__":`` guard: without it each helper runs the
+    script's top-level code again before it fails and the dump is read
+    here.  Files are merged in name order, so the result and the first
+    error are those of a read file by file.
     """
     dump_dir = Path(dump_dir)
     if not dump_dir.is_dir():

@@ -1,16 +1,23 @@
 """The score-dump reader: helper processes, |value*grad| records and strict values.
 
-``read_score_dump`` parses a large dump in ``spawn`` helper processes.  Here
+``read_score_dump`` parses a large dump in helper processes: forked on Linux
+when the caller runs one Python thread, spawned otherwise.  Here
 ``_HELPER_MIN_BYTES`` is patched to 0 and ``_usable_cpus`` to 2, so the small
 dumps below take that path on any machine; every result and every error must
 be the one of the file-by-file read (``_HELPER_MIN_BYTES`` patched beyond any
-dump).  ``Spy`` records that the helpers really ran.
+dump).  ``Spy`` records that the helpers really ran and how they started.
+Only where helpers spawn does a script need the ``__main__`` guard.
 """
 
 import concurrent.futures
 import json
 import multiprocessing
+import os
+import pickle
 import re
+import subprocess
+import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -29,10 +36,17 @@ from ggm_select.nodes import (
 )
 
 FIXTURE_DUMP = Path(__file__).parent / "fixtures" / "score_dump"
+# a single-threaded caller forks its helpers on Linux only
+START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 class Spy(concurrent.futures.ProcessPoolExecutor):
     maps = 0
+    start_methods = []
+
+    def __init__(self, *args, mp_context, **kwargs):
+        Spy.start_methods.append(mp_context.get_start_method())
+        super().__init__(*args, mp_context=mp_context, **kwargs)
 
     def map(self, *args, **kwargs):
         Spy.maps += 1
@@ -46,6 +60,7 @@ def helpers(monkeypatch):
     monkeypatch.setattr(nodes, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     Spy.maps = 0
+    Spy.start_methods = []
     yield Spy
     assert multiprocessing.active_children() == []
 
@@ -109,6 +124,7 @@ def test_helpers_read_the_fixture_as_the_serial_reader(helpers, as_str):
     # The pipeline hands the reader its configured dump_dir as a str.
     got = read_score_dump(str(FIXTURE_DUMP) if as_str else FIXTURE_DUMP)
     assert helpers.maps == 1
+    assert helpers.start_methods == [START_METHOD]
     _assert_same_steps(got, _serial(FIXTURE_DUMP))
 
 
@@ -116,10 +132,57 @@ def test_helpers_read_a_seeded_dump_as_the_serial_reader(helpers, tmp_path):
     dump = _seeded_dump(tmp_path / "dump")
     got = read_score_dump(dump)
     assert helpers.maps == 1
+    assert helpers.start_methods == [START_METHOD]
     assert multiprocessing.active_children() == []
     _assert_same_steps(got, _serial(dump))
     plain = [{key: sensitivity(*pair) for key, pair in step.items()} for step in _plain_pairs(dump)]
     _assert_same_steps(got, plain)
+
+
+def test_a_caller_with_a_second_thread_spawns_its_helpers(helpers, tmp_path):
+    # a forked helper could inherit a lock that the other thread holds
+    dump = _seeded_dump(tmp_path / "dump")
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        got = read_score_dump(dump)
+    finally:
+        stop.set()
+        waiter.join()
+    assert helpers.maps == 1
+    assert helpers.start_methods == ["spawn"]
+    assert multiprocessing.active_children() == []
+    _assert_same_steps(got, _serial(dump))
+
+
+_UNGUARDED_SCRIPT = """
+import pickle
+import sys
+
+from ggm_select import nodes
+
+nodes._HELPER_MIN_BYTES = 0
+nodes._usable_cpus = lambda: 2
+print("top-level code ran")
+with open(sys.argv[2], "wb") as handle:
+    pickle.dump(nodes.read_score_dump(sys.argv[1]), handle)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="helpers spawn off Linux, and there the guard is needed")
+def test_a_script_without_the_main_guard_runs_its_top_level_code_once(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT, encoding="utf-8")
+    out = tmp_path / "steps.pickle"
+    src = str(Path(nodes.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-W", "error", str(script), str(FIXTURE_DUMP), str(out)],
+                          capture_output=True, text=True, encoding="utf-8", timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["top-level code ran"]
+    assert "RuntimeError" not in done.stderr and "Traceback" not in done.stderr
+    _assert_same_steps(pickle.loads(out.read_bytes()), _serial(FIXTURE_DUMP))
 
 
 @pytest.mark.parametrize("dump", ["fixture", "seeded"])
@@ -192,6 +255,7 @@ def test_helpers_raise_the_serial_readers_first_error(helpers, tmp_path, case, f
         _break(dump, "part1.json", 1, lambda records, pos: records[pos]["grads"].__setitem__(0, True))
     got = _outcome(lambda: read_score_dump(dump))
     assert helpers.maps == 1
+    assert helpers.start_methods == [START_METHOD]
     assert multiprocessing.active_children() == []
     assert got[0] is ValueError
     assert got[1].startswith(first_error)
