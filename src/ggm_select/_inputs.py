@@ -3,6 +3,9 @@
 :func:`json_file` (config, covariance JSON, score dumps) and
 :func:`number_table` (covariance CSV, ``--mean``) read every input file as
 UTF-8 whatever the locale, and every refusal of a file's text names it.
+So does every refusal of what the file holds: :func:`named` names a JSON
+file the way :func:`json_file` does, and a CSV reader names its file as
+:func:`number_table` does.
 
 Every value of the run config, covariance files and score-dump records
 passes through here too, and so does every array of numbers among them:
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -137,6 +141,15 @@ def json_file(path, hook=None):
         raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+@contextmanager
+def named(path):
+    """Prefix ``{path.name}: `` to a ValueError raised inside, as :func:`json_file` names a file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{Path(path).name}: {exc}") from exc
 
 
 def number_table(path, what: str) -> np.ndarray:

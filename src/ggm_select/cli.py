@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._inputs import json_file, number_table
+from ._inputs import json_file, named, number_table
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -197,7 +197,8 @@ def cmd_solve(args) -> int:
             raise ValueError("--h needs --mean FILE to rank nodes")
         mean = _load_mean_vector(Path(args.mean))
         if mean.size != sigma.shape[0]:
-            raise ValueError(f"mean length {mean.size} does not match covariance n={sigma.shape[0]}")
+            raise ValueError(f"mean file {args.mean}: length {mean.size} does not match "
+                             f"covariance n={sigma.shape[0]}")
         important = select_important(mean, args.h)
         inputs["mean"] = Path(args.mean)
     elif mode is GgmMode.FULL_OFFDIAG:
@@ -299,7 +300,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     payload = json_file(config_path)
     # validate before launching any runs so flag errors surface immediately
-    base_seed = PipelineConfig.from_json_dict(payload).seed
+    with named(config_path):
+        base_seed = PipelineConfig.from_json_dict(payload).seed
 
     out_root = Path(args.out)
     if args.seeds is not None:

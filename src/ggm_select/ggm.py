@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import integer, json_file, number, number_array, number_table, read_object
+from ._inputs import integer, json_file, named, number, number_array, number_table, read_object
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
@@ -666,16 +666,18 @@ def load_covariance(path) -> np.ndarray:
     """Read a covariance matrix from headerless CSV or JSON {"n", "data"}."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = read_object(
-            json_file(path), "covariance JSON",
-            {"n": integer, "data": number_array},
-            required=("n", "data"), closed=False,
-        )
-        n, data = payload["n"], payload["data"]
-        if data.size != n * n:
-            raise ValueError(f"covariance JSON: expected {n * n} values, got {data.size}")
+        payload = json_file(path)
+        with named(path):
+            payload = read_object(
+                payload, "covariance JSON",
+                {"n": integer, "data": number_array},
+                required=("n", "data"), closed=False,
+            )
+            n, data = payload["n"], payload["data"]
+            if data.size != n * n:
+                raise ValueError(f"covariance JSON: expected {n * n} values, got {data.size}")
         return data.reshape(n, n)
     mat = number_table(path, "covariance CSV")
     if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"covariance CSV must be square, got shape {mat.shape}")
+        raise ValueError(f"covariance CSV {path}: must be square, got shape {mat.shape}")
     return mat

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import boolean, integer, json_file, number, read_object, string
+from ._inputs import boolean, integer, json_file, named, number, read_object, string
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -309,7 +309,9 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
-        return cls.from_json_dict(json_file(path))
+        payload = json_file(path)
+        with named(path):
+            return cls.from_json_dict(payload)
 
     def to_json_dict(self) -> dict:
         payload = {

@@ -190,6 +190,12 @@ _UNREADABLE_FILES = {
     "config_truncated": ("config", "run.json", b'{"mode": "planted", '),
     "mean_two_by_two": ("mean", "mu.csv", b"0.1,0.9\n0.5,0.2\n"),
     "mean_empty": ("mean", "mu.csv", b""),
+    # refused after the file parses
+    "cov_csv_not_square": ("cov", "sigma.csv", b"1,0,0\n0,1,0\n"),
+    "cov_json_too_few_values": ("cov", "sigma.json", b'{"n": 2, "data": [1.0]}'),
+    "cov_json_data_not_numbers": ("cov", "sigma.json", b'{"n": 2, "data": [1.0, "x", 0.0, 1.0]}'),
+    "config_unknown_key": ("config", "run.json", b'{"bogus": 1}'),
+    "mean_wrong_length": ("mean", "mu.csv", b"0.1,0.9,0.5\n"),
 }
 
 

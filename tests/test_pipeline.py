@@ -339,6 +339,13 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_json_dict(_payload(solver={"T": 10, "step": 0.1}))
 
 
+def test_config_file_refusals_name_the_file(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_payload(bogus=1)))
+    with pytest.raises(ValueError, match=r"^run\.json: unknown config keys: \['bogus'\]$"):
+        PipelineConfig.from_json_file(path)
+
+
 def test_config_rejects_missing_keys():
     payload = _payload()
     del payload["lambda"]
