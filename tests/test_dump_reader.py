@@ -149,7 +149,8 @@ def test_a_caller_with_a_second_thread_spawns_its_helpers(helpers, tmp_path):
         got = read_score_dump(dump)
     finally:
         stop.set()
-        waiter.join()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
     assert helpers.maps == 1
     assert helpers.start_methods == ["spawn"]
     assert multiprocessing.active_children() == []
