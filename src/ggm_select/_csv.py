@@ -22,14 +22,10 @@ For a value ``a`` in [1e-5, 1e16):
   ``d.ddde-05`` for -5;
 - one boolean gather picks the shown bytes of the whole block.
 
-Every other value (zeros, ``-0.0``, anything outside [1e-5, 1e16)) is
-formatted by one ``%`` call per block: ``b"%-24.17g" * count``, whose texts
-are padded with spaces to one slot's 24 bytes, so they drop into their
-slots as whole words.  That splice costs more per value than ``%`` alone,
-so a block with fewer than half of its values in the fast range is
-instead one ``%`` call of the row template ``"%.17g,...,%.17g\n"``
-repeated: score dumps of small node values (say 1e-14 to 1e-6, and zeros)
-cost what the plain ``%.17g`` writer costs.
+A block with any other value (zeros, ``-0.0``, anything outside [1e-5,
+1e16)) is instead one ``%`` call of the row template
+``"%.17g,...,%.17g\\n"`` repeated, which costs what the plain ``%.17g``
+writer costs.
 """
 
 from __future__ import annotations
@@ -85,8 +81,6 @@ def _layouts():
     ``e-05`` suffix).  ``keep[18 * c + s]`` marks the slot bytes shown for
     exponent class ``c`` when ``s`` digits are significant: ``%g`` drops
     trailing zeros of the fraction and a point with no fraction after it.
-    The rows after those, ``keep[_SPLICED + length]``, mark a spliced text
-    of ``length`` bytes.
     """
     count = len(_EXPONENTS)
     lead = np.zeros(count, dtype=np.uint64)
@@ -120,19 +114,14 @@ def _layouts():
         keep[c, :, :_TEXT_BYTES] = position < shown
         keep[c, :, end:end + len(suffix)] = True
 
-    spliced = np.arange(_SLOT_BYTES) < np.arange(_TEXT_BYTES + 1)[:, None]
-    spliced[:, _TEXT_BYTES] = True
-
     def words(table):
         # one row per word: _LOW[word][exp_class] is a plain 1-D gather
         return table.view("<u8").astype(np.uint64).T.copy()
 
-    keep = np.concatenate([keep.reshape(-1, _SLOT_BYTES), spliced])
-    return lead, words(low), words(high), words(const), keep
+    return lead, words(low), words(high), words(const), keep.reshape(-1, _SLOT_BYTES)
 
 
 _LEAD, _LOW, _HIGH, _CONST, _KEEP = _layouts()
-_SPLICED = len(_EXPONENTS) * (_DIGITS + 1)
 
 
 def _shift_up(words, bits):
@@ -196,37 +185,19 @@ def format_rows(rows) -> bytes:
     if n == 0:
         return b"\n" * m
     values = rows.ravel()
-    fast = (values >= _FAST_LOW) & (values < _FAST_HIGH)
-    # at 4,096 values per block the digit code and its splices cost what the
-    # row template costs when about half the values are in the fast range
-    # (numpy 2.4, 2-core x86_64)
-    count = np.count_nonzero(fast)
-    if 2 * count < values.size:
+    if not np.all((values >= _FAST_LOW) & (values < _FAST_HIGH)):
         template = (b",".join([b"%.17g"] * n) + b"\n") * m
         return template % tuple(values.tolist())
-    # a slice keeps the usual all-fast block free of gathers and scatters
-    inside = slice(None) if count == values.size else np.flatnonzero(fast)
-    scaled, exp = _scaled_digits(values[inside])
+    scaled, exp = _scaled_digits(values)
     digits, significant = _digit_words(scaled)
     exp_class = exp - _EXPONENTS[0]
     digits = _shift_up(digits, _LEAD[exp_class])
     moved = _shift_up(digits, 8)
     slots = np.empty((values.size, _SLOT_BYTES // 8), dtype="<u8")
     for word in range(3):
-        slots[inside, word] = (digits[word] & _LOW[word][exp_class]
-                               | moved[word] & _HIGH[word][exp_class]
-                               | _CONST[word][exp_class])
+        slots[:, word] = (digits[word] & _LOW[word][exp_class]
+                          | moved[word] & _HIGH[word][exp_class]
+                          | _CONST[word][exp_class])
     slots[:, 3] = ord(",")
     slots[n - 1::n, 3] = ord("\n")
-    key = (_DIGITS + 1) * exp_class + significant
-    if count < values.size:
-        outside = np.flatnonzero(~fast)
-        key_inside, key = key, np.empty(values.size, dtype=np.intp)
-        key[inside] = key_inside
-        text = (b"%-24.17g" * outside.size) % tuple(values[outside].tolist())
-        text = np.frombuffer(text, dtype="<u8").reshape(-1, 3)
-        slots[outside, :3] = text
-        # the text ends at its first pad byte, if it has one
-        pad = text.view(np.uint8) == ord(" ")
-        key[outside] = _SPLICED + np.where(pad[:, -1], pad.argmax(axis=1), _TEXT_BYTES)
-    return slots.view(np.uint8)[_KEEP[key]].tobytes()
+    return slots.view(np.uint8)[_KEEP[(_DIGITS + 1) * exp_class + significant]].tobytes()

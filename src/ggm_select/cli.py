@@ -318,7 +318,7 @@ def cmd_simulate(args) -> int:
         runs = [(seed, str(out_root))]
 
     if args.jobs > 1 and len(runs) > 1:
-        # the default fork start method launches every worker at the first submit
+        # never more workers than runs: a worker past that has no run to take
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(runs))) as pool:
             futures = [
                 pool.submit(_simulate_one, payload, seed, out_dir, str(config_path))

@@ -64,6 +64,7 @@ from ._inputs import integer, json_file, named, number, number_array, number_tab
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
+# (tests/test_tracer_targets.py checks every attribute the tracer wraps)
 from .scalar_prox import solve_threshold, solve_threshold_batch  # noqa: F401
 from .surrogates import SurrogateSpec, eval_g
 
@@ -126,11 +127,7 @@ class GgmProblem:
     mode: GgmMode = GgmMode.IMPORTANT_ROWS
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma_hat, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {sigma.shape}")
-        if not np.all(np.isfinite(sigma)):
-            raise ValueError("covariance contains non-finite entries")
+        sigma = _square_finite(self.sigma_hat, "covariance")
         asym = float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
@@ -170,6 +167,16 @@ def _check_lam(lam) -> None:
         raise ValueError(f"lam must be finite and > 0, got {lam}")
 
 
+def _square_finite(mat, what: str) -> np.ndarray:
+    """``mat`` as a float array; ``what`` names it in the refusal of a non-square or non-finite one."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return mat
+
+
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """A symmetric, strictly positive definite matrix and its smallest eigenvalue.
@@ -188,11 +195,7 @@ class PrecisionMatrix:
     logdet: float = field(default=None, repr=False)
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
-        if om.ndim != 2 or om.shape[0] != om.shape[1]:
-            raise ValueError(f"precision matrix must be square, got {om.shape}")
-        if not np.all(np.isfinite(om)):
-            raise ValueError("precision matrix contains non-finite entries")
+        om = _square_finite(self.omega, "precision matrix")
         asym = float(np.max(np.abs(om - om.T)))
         if asym > 1e-8:
             raise ValueError(f"precision matrix not symmetric (max asymmetry {asym:.3e})")
@@ -219,11 +222,7 @@ class AuxMatrix:
     delta: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.delta, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError(f"auxiliary matrix must be square, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("auxiliary matrix contains non-finite entries")
+        d = _square_finite(self.delta, "auxiliary matrix")
         d.flags.writeable = False
         object.__setattr__(self, "delta", d)
 
@@ -382,8 +381,7 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     ``min_eig`` and the sum of log w its ``logdet``; the returned matrix still
     proves positive definiteness with its own Cholesky factorization.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _check_lam(lam)
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     a, q = np.linalg.eigh(a_s)
     w = 0.5 * (-a + np.sqrt(a**2 + 2.0 / lam))
@@ -420,8 +418,7 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
     ``omega0`` seeds the ascent (identity by default); pass the previous
     iterate for warm starts.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _check_lam(lam)
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     n = a_s.shape[0]
     omega = np.eye(n) if omega0 is None else _as_array(omega0).copy()

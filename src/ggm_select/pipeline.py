@@ -125,11 +125,11 @@ class PlantedProblem:
         connected = tuple(int(i) for i in self.true_connected)
         if float(np.linalg.eigvalsh(omega)[0]) <= 0.0:
             raise ValueError("planted precision must be positive definite")
-        linked = set(important) | set(connected)
-        for j in important:
-            for i in range(omega.shape[0]):
-                if i not in linked and omega[j, i] != 0.0:
-                    raise ValueError(f"unexpected coupling at ({j}, {i})")
+        stray = omega[list(important)] != 0.0
+        stray[:, list(important + connected)] = False
+        if stray.any():
+            row, i = np.argwhere(stray)[0]
+            raise ValueError(f"unexpected coupling at ({important[row]}, {i})")
         omega.flags.writeable = False
         object.__setattr__(self, "omega_true", omega)
         object.__setattr__(self, "important_set", important)
@@ -194,11 +194,9 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
     connected = tuple(range(h, h + k_connected))
 
     omega = np.eye(n)
-    signs = rng.choice([-1.0, 1.0], size=(h, k_connected))
-    for a, j in enumerate(important):
-        for c, i in enumerate(connected):
-            omega[j, i] = signs[a, c] * coupling
-            omega[i, j] = omega[j, i]
+    block = rng.choice([-1.0, 1.0], size=(h, k_connected)) * coupling
+    omega[:h, h:h + k_connected] = block
+    omega[h:h + k_connected, :h] = block.T
 
     min_eig = float(np.linalg.eigvalsh(omega)[0])
     if min_eig < MIN_EIG_TARGET:

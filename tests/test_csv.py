@@ -18,9 +18,17 @@ def _per_value(rows) -> bytes:
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
 
 
+def _in_range(values) -> np.ndarray:
+    """The values in [1e-5, 1e16), as one row: a block that takes the digit code."""
+    values = np.asarray(values, dtype=float).ravel()
+    return values[(values >= 1e-5) & (values < 1e16)].reshape(1, -1)
+
+
 def _assert_same_text(values):
-    rows = np.asarray(values, dtype=float).reshape(1, -1)
-    assert format_rows(rows) == _per_value(rows.tolist())
+    # a block with any value out of range takes the row template, so the
+    # in-range values are also formatted as a block of their own
+    for rows in (np.asarray(values, dtype=float).reshape(1, -1), _in_range(values)):
+        assert format_rows(rows) == _per_value(rows.tolist())
 
 
 def _neighbours(value: float, ulps: int) -> list:
@@ -46,6 +54,8 @@ def test_bytes_match_percent_17g(values, columns):
     columns = min(columns, len(values))
     rows = np.array(values[:len(values) // columns * columns]).reshape(-1, columns)
     assert format_rows(rows) == _per_value(rows.tolist())
+    inside = _in_range(values)
+    assert format_rows(inside) == _per_value(inside.tolist())
 
 
 def test_powers_of_ten_and_their_neighbours():
@@ -87,9 +97,13 @@ OUTSIDE_THE_FAST_RANGE = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 3e
 
 
 def test_values_outside_the_fast_range_are_spliced():
-    # as many values inside the fast range: the digit code runs and splices the rest in
+    # as many values inside the fast range: one value outside it sends the
+    # whole block to the row template, wherever in the block it stands
     inside = [1.0 + i / 7 for i in range(len(OUTSIDE_THE_FAST_RANGE))]
     _assert_same_text([v for pair in zip(OUTSIDE_THE_FAST_RANGE, inside) for v in pair])
+    for outside in OUTSIDE_THE_FAST_RANGE:
+        _assert_same_text([outside] + inside)
+        _assert_same_text(inside + [outside])
 
 
 def test_blocks_mostly_outside_the_fast_range():

@@ -411,6 +411,15 @@ def test_continuation_does_not_recheck_the_covariance(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("update", [update_precision_eig, update_precision])
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_precision_updates_refuse_a_lam_not_finite_and_positive(update, lam):
+    # the rule GgmProblem applies: with lam = inf both routes would return
+    # 2*I here, with no error
+    with pytest.raises(ValueError, match="lam must be finite and > 0"):
+        update(np.eye(3), 2.0 * np.eye(3), lam)
+
+
 def test_continuation_refuses_a_lam_grown_past_finite():
     problem = _problem(np.random.default_rng(45), 6, tau=0.5, lam=1e300)
     with pytest.raises(ValueError, match="lam must be finite"):
@@ -488,6 +497,8 @@ def test_precision_matrix_validation():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="min_eig"):
             PrecisionMatrix(np.eye(2), min_eig=bad)
+    with pytest.raises(ValueError, match=r"precision matrix must be square, got shape \(2, 3\)"):
+        PrecisionMatrix(np.ones((2, 3)))
     pm = PrecisionMatrix(np.eye(2))
     assert pm.n == 2
     assert pm.min_eig == 1.0
@@ -522,8 +533,10 @@ def test_eigen_route_solve_calls_no_eigvalsh(monkeypatch, mode):
 
 
 def test_aux_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="auxiliary matrix contains non-finite entries"):
         AuxMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"auxiliary matrix must be square, got shape \(3,\)"):
+        AuxMatrix(np.ones(3))
 
 
 def test_solver_options_validation():

@@ -6,6 +6,7 @@ import pytest
 from ggm_select.ggm import GgmMode, PrecisionMethod, SolverOptions, SolverReport
 from ggm_select.pipeline import (
     PipelineConfig,
+    PlantedProblem,
     SelectionResult,
     make_planted,
     recovery_f1,
@@ -172,6 +173,19 @@ def test_planted_samples_nonnegative_with_boosted_important_mean():
 def test_planted_rejects_oversized_coupling():
     with pytest.raises(ValueError, match="planted precision not PD"):
         make_planted(n=10, h=3, k_connected=6, coupling=5.0, m=10, seed=0)
+
+
+def test_planted_problem_names_the_first_unexpected_coupling():
+    omega = np.eye(6)
+    for j, i in ((0, 3), (0, 4), (2, 5)):
+        omega[j, i] = omega[i, j] = 0.1
+    # rows in the order of the important set, columns ascending
+    with pytest.raises(ValueError, match=r"^unexpected coupling at \(2, 5\)$"):
+        PlantedProblem(omega, important_set=(2, 0), true_connected=(1,), seed=0, m=1)
+    with pytest.raises(ValueError, match=r"^unexpected coupling at \(0, 3\)$"):
+        PlantedProblem(omega, important_set=(0, 2), true_connected=(1,), seed=0, m=1)
+    problem = PlantedProblem(omega, important_set=(0, 2), true_connected=(3, 4, 5), seed=0, m=1)
+    assert problem.important_set == (0, 2)
 
 
 def test_planted_rejects_bad_sizes():
