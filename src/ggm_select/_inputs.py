@@ -2,7 +2,8 @@
 
 :func:`json_file` (config, covariance JSON, score dumps) and
 :func:`number_table` (covariance CSV, ``--mean``) read every input file as
-UTF-8 whatever the locale, and every refusal of a file's text names it.
+UTF-8 whatever the locale, and every refusal of a file's text names it
+by the path as given.
 So does every refusal of what the file holds: :func:`named` names a JSON
 file the way :func:`json_file` does, and a CSV reader names its file as
 :func:`number_table` does.
@@ -94,12 +95,6 @@ def string(value) -> str:
     return value
 
 
-def boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"must be true or false, got {value!r}")
-    return value
-
-
 def read_object(obj, where: str, readers: dict, required=(), closed=True) -> dict:
     """``{key: readers[key](obj[key])}`` for every key of ``readers`` in ``obj``.
 
@@ -138,18 +133,18 @@ def json_file(path, hook=None):
         text = path.read_text(encoding="utf-8")
         return json.loads(text, object_hook=hook(text) if hook else None)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from exc
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path.name}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 @contextmanager
 def named(path):
-    """Prefix ``{path.name}: `` to a ValueError raised inside, as :func:`json_file` names a file."""
+    """Prefix ``{path}: `` to a ValueError raised inside, as :func:`json_file` names a file."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{Path(path).name}: {exc}") from exc
+        raise ValueError(f"{Path(path)}: {exc}") from exc
 
 
 def number_table(path, what: str) -> np.ndarray:

@@ -245,7 +245,7 @@ def cmd_solve(args) -> int:
     )
     if not args.quiet:
         norms = report.group_norms
-        top = sorted(range(norms.size), key=lambda i: (-norms[i], i))[:5]
+        top = np.argsort(-norms, kind="stable")[:5]
         shown = ",".join(f"{i}:{norms[i]:.4g}" for i in top)
         print(
             f"converged={str(report.converged).lower()} iterations={report.iterations} "
@@ -376,10 +376,9 @@ def _add_surrogate_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # prox writes no file and always prints its JSON, so it takes neither flag
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed recorded and used where relevant")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for multi-seed sweeps, at most one per seed")
     common.add_argument("--quiet", action="store_true", help="suppress summary lines on stdout")
 
     parser = argparse.ArgumentParser(
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    prox = sub.add_parser("prox", parents=[common], help="evaluate the scalar threshold operator")
+    prox = sub.add_parser("prox", help="evaluate the scalar threshold operator")
     prox.add_argument("--y", type=float, required=True, help="input value (nonnegative)")
     prox.add_argument("--lam", type=float, required=True, help="penalty weight")
     prox.add_argument("--tol", type=float, default=ProxProblem.tol)
@@ -419,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--config", required=True, help="pipeline config JSON")
     simulate.add_argument("--out", required=True, help="output directory (per-seed subdirs with --seeds)")
     simulate.add_argument("--seeds", default=None, help="comma-separated seed sweep")
+    simulate.add_argument("--jobs", type=int, default=1,
+                          help="parallel workers for multi-seed sweeps, at most one per seed")
     simulate.set_defaults(func=cmd_simulate)
 
     score = sub.add_parser("score", parents=[common], help="replay a score dump into samples.csv")

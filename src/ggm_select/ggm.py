@@ -52,7 +52,6 @@ reports can be shared freely across threads.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -154,13 +153,6 @@ class GgmProblem:
     def n(self) -> int:
         return self.sigma_hat.shape[0]
 
-    def _with_lam(self, lam: float) -> "GgmProblem":
-        """This problem with another ``lam``; the covariance is not checked again."""
-        _check_lam(lam)
-        grown = copy.copy(self)
-        object.__setattr__(grown, "lam", lam)
-        return grown
-
 
 def _check_lam(lam) -> None:
     if not (math.isfinite(lam) and lam > 0.0):
@@ -232,15 +224,12 @@ class SolverOptions:
     """Knobs for :func:`solve_ggm`; defaults match the CLI documentation."""
 
     T: int = 200
-    # gradient route only: eta is the first trial step of update_precision,
-    # inner_tol its gradient-norm stop and inner_max_iter its step cap
-    eta: float = 0.1
+    # gradient route only: inner_tol is the gradient-norm stop of
+    # update_precision and inner_max_iter its step cap
     inner_tol: float = 1e-8
     inner_max_iter: int = 5000
     outer_tol: float = 1e-7
     precision_method: PrecisionMethod = PrecisionMethod.EIGEN_CLOSED_FORM
-    # geometric continuation lam <- lam_growth * lam after each sweep; 1.0 = off
-    lam_growth: float = 1.0
 
     def __post_init__(self):
         for name, value in read_object(vars(self), "solver", _SOLVER_READERS).items():
@@ -250,10 +239,8 @@ class SolverOptions:
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
         # JSON configs parse NaN and Infinity
-        if not all(0.0 < v < math.inf for v in (self.eta, self.inner_tol, self.outer_tol)):
-            raise ValueError("eta, inner_tol and outer_tol must be finite and > 0")
-        if not 1.0 <= self.lam_growth < math.inf:
-            raise ValueError("lam_growth must be finite and >= 1")
+        if not all(0.0 < v < math.inf for v in (self.inner_tol, self.outer_tol)):
+            raise ValueError("inner_tol and outer_tol must be finite and > 0")
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SolverOptions":
@@ -265,8 +252,8 @@ class SolverOptions:
 
 
 _SOLVER_READERS = {
-    "T": integer, "eta": number, "inner_tol": number, "inner_max_iter": integer,
-    "outer_tol": number, "precision_method": PrecisionMethod, "lam_growth": number,
+    "T": integer, "inner_tol": number, "inner_max_iter": integer,
+    "outer_tol": number, "precision_method": PrecisionMethod,
 }
 
 
@@ -390,8 +377,7 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
                            logdet=float(np.sum(np.log(w))))
 
 
-def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
-                     max_iter: int = 5000, tol: float = 1e-8,
+def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: float = 1e-8,
                      omega0=None) -> PrecisionMatrix:
     """Gradient-ascent maximizer of the Omega block.
 
@@ -400,7 +386,7 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
     trial point.  This is a plain first-order route, kept as an independent
     check on the closed form of :func:`update_precision_eig`.
 
-    The trial step is ``eta`` for the first step, then the Barzilai-Borwein
+    The trial step is 0.1 for the first step, then the Barzilai-Borwein
     step <s, s> / -<s, y> with s and y the last accepted changes in Omega and
     G; when -<s, y> <= 0 the previous step is kept.  The block Hessian is
     <= -I, so this step never exceeds 1.  Each trial is tested by one
@@ -423,7 +409,7 @@ def update_precision(sigma_hat, delta, lam: float, eta: float = 0.1,
     n = a_s.shape[0]
     omega = np.eye(n) if omega0 is None else _as_array(omega0).copy()
     value = _subproblem_value(omega, a_s, lam)
-    step = eta
+    step = 0.1
     previous = None  # (Omega, G) before the last accepted step
     for _ in range(max_iter):
         grad = np.linalg.inv(omega) / (2.0 * lam) - a_s - omega
@@ -589,9 +575,7 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
     sweeps.  Each further refusal with no accepted extrapolation in between
     doubles that wait, so a problem that refuses every extrapolation (dump
     mode's rank-deficient Sigma_hat) pays O(log T) extra evaluations, not
-    one per refill.  With
-    ``opts.lam_growth`` != 1 the history is cleared at every lam change, so
-    continuation runs plain sweeps only.
+    one per refill.
 
     Declares convergence when consecutive recorded Omega iterates differ by
     at most ``opts.outer_tol`` in Frobenius norm.
@@ -600,21 +584,20 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
     precision = PrecisionMatrix(np.diag(1.0 / diag), min_eig=float(np.min(1.0 / diag)),
                                 logdet=-float(np.sum(np.log(diag))))
     delta = precision.omega.copy()
-    current = problem
-    trace = [(0, penalized_objective(precision, delta, current))]
+    trace = [(0, penalized_objective(precision, delta, problem))]
     min_eigs = [precision.min_eig]
     mixing = _Mixing(delta, ANDERSON_DEPTH)
 
     def sweep(base):
         if opts.precision_method is PrecisionMethod.EIGEN_CLOSED_FORM:
-            omega = update_precision_eig(current.sigma_hat, base, current.lam)
+            omega = update_precision_eig(problem.sigma_hat, base, problem.lam)
         else:
             omega = update_precision(
-                current.sigma_hat, base, current.lam, eta=opts.eta,
+                problem.sigma_hat, base, problem.lam,
                 max_iter=opts.inner_max_iter, tol=opts.inner_tol, omega0=precision,
             )
-        aux = update_auxiliary(omega, current).delta
-        return omega, aux, penalized_objective(omega, aux, current)
+        aux = update_auxiliary(omega, problem).delta
+        return omega, aux, penalized_objective(omega, aux, problem)
 
     converged = False
     iterations = 0
@@ -645,9 +628,6 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
         if change <= opts.outer_tol:
             converged = True
             break
-        if opts.lam_growth != 1.0:
-            current = current._with_lam(current.lam * opts.lam_growth)
-            mixing.clear()
 
     return SolverReport(
         omega_star=precision,

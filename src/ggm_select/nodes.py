@@ -312,7 +312,7 @@ class SampleSet:
         with path.open(encoding="utf-8") as handle:
             header = handle.readline().strip()
             if not header:
-                raise ValueError(f"{path.name}: missing header row")
+                raise ValueError(f"{path}: missing header row")
             names = tuple(part.strip() for part in header.split(","))
             values = np.loadtxt(handle, delimiter=",", ndmin=2, dtype=float)
         if values.size == 0:
@@ -320,24 +320,14 @@ class SampleSet:
         return cls(values=values, names=names)
 
 
-def sample_statistics(samples: SampleSet, standardize: bool = False):
-    """Column means and the (m-1)-normalized sample covariance, symmetrized.
-
-    With ``standardize`` the covariance is computed on per-column z-scores
-    (constant columns left at zero), i.e. it becomes the correlation matrix;
-    the returned mean is always the raw column mean, which is what the
-    important-set selection consumes.
-    """
+def sample_statistics(samples: SampleSet):
+    """Column means and the (m-1)-normalized sample covariance, symmetrized."""
     values = samples.values
     m = values.shape[0]
     if m < 2:
         raise ValueError(f"need at least 2 samples for a covariance, got {m}")
     mean = values.mean(axis=0)
     centered = values - mean
-    if standardize:
-        scale = values.std(axis=0, ddof=1)
-        scale[scale == 0.0] = 1.0
-        centered = centered / scale
     cov = centered.T @ centered / (m - 1)
     return mean, 0.5 * (cov + cov.T)
 
@@ -544,7 +534,7 @@ def _read_file(path: Path):
         payload = json_file(path, lambda text: functools.partial(
             _decode_vectors, booleans=_spells_a_boolean(text)))
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):
-            step, key, values, grads = _parse_record(record, f"{path.name}: record {pos}")
+            step, key, values, grads = _parse_record(record, f"{path}: record {pos}")
             records.append((step, key, values.size))
             arrays.append(sensitivity(values, grads))
     except Exception as exc:  # any failure of the read; the caller raises it in file order
@@ -638,7 +628,7 @@ def read_score_dump(dump_dir):
         for pos, (step, key, length) in enumerate(records):
             slot = by_step.setdefault(step, {})
             if key in slot:
-                raise ValueError(f"{file.name}: record {pos}: duplicate tensor {key} at step {step}")
+                raise ValueError(f"{file}: record {pos}: duplicate tensor {key} at step {step}")
             slot[key] = packed[start:start + length]
             start += length
         if error is not None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import boolean, integer, json_file, named, number, read_object, string
+from ._inputs import integer, json_file, named, number, read_object, string
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -150,25 +150,26 @@ def select_trainable(report: SolverReport, important_set, budget=None, threshold
     important = tuple(sorted(int(i) for i in important_set))
     if any(i < 0 or i >= n for i in important):
         raise ValueError(f"important set {important} out of range for n={n}")
-    important_members = set(important)
-    candidates = [i for i in range(n) if i not in important_members]
+    is_frozen = np.ones(n, dtype=bool)
+    is_frozen[list(important)] = False
+    candidates = np.flatnonzero(is_frozen)
     if budget is not None:
         budget = int(budget)
-        if not 0 <= budget <= len(candidates):
-            raise ValueError(f"budget {budget} outside [0, {len(candidates)}]")
-        ranked = sorted(candidates, key=lambda i: (-norms[i], i))
-        selected = tuple(sorted(ranked[:budget]))
+        if not 0 <= budget <= candidates.size:
+            raise ValueError(f"budget {budget} outside [0, {candidates.size}]")
+        # stable sort keeps lower indices first among equal norms, as select_important does
+        ranked = candidates[np.argsort(-norms[candidates], kind="stable")]
+        selected = np.sort(ranked[:budget])
     else:
         threshold = float(threshold)
         if not (math.isfinite(threshold) and threshold >= 0.0):
             raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-        selected = tuple(i for i in candidates if norms[i] > threshold)
-    selected_members = set(selected)
-    frozen = tuple(i for i in candidates if i not in selected_members)
+        selected = candidates[norms[candidates] > threshold]
+    is_frozen[selected] = False
     return SelectionResult(
         important_set=important,
         solver_selected=selected,
-        frozen=frozen,
+        frozen=np.flatnonzero(is_frozen),
         scores=norms,
     )
 
@@ -243,7 +244,7 @@ _CONFIG_READERS = {
     "mode": string, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": number,
     "lambda": number, "selection": _selection, "solver": SolverOptions.from_json_dict,
     "n": integer, "k_connected": integer, "coupling": number, "m": integer, "seed": integer,
-    "dump": string, "beta1": number, "beta2": number, "ggm_mode": GgmMode, "standardize": boolean,
+    "dump": string, "beta1": number, "beta2": number, "ggm_mode": GgmMode,
 }
 _CONFIG_FIELDS = {"lambda": "lam", "dump": "dump_dir"}
 
@@ -269,7 +270,6 @@ class PipelineConfig:
     beta2: float = 0.85
     solver: SolverOptions = field(default_factory=SolverOptions)
     ggm_mode: GgmMode = GgmMode.IMPORTANT_ROWS
-    standardize: bool = False
 
     def __post_init__(self):
         if self.mode not in ("planted", "dump"):
@@ -321,7 +321,6 @@ class PipelineConfig:
             "seed": self.seed,
             "solver": self.solver.to_json_dict(),
             "ggm_mode": self.ggm_mode.value,
-            "standardize": self.standardize,
         }
         if self.selection_budget is not None:
             payload["selection"] = {"budget": self.selection_budget}
@@ -367,7 +366,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             samples = replay_scores(steps, config.beta1, config.beta2)
 
     with _stage("statistics"):
-        mean, cov = sample_statistics(samples, standardize=config.standardize)
+        mean, cov = sample_statistics(samples)
 
     with _stage("importance"):
         important_set = select_important(mean, config.h)

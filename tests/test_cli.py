@@ -105,6 +105,15 @@ def test_solve_identity_covariance(tmp_path, capsys):
     assert "converged=true" in capsys.readouterr().out
 
 
+def test_solve_summary_ranks_tied_group_norms_by_index(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    _write_cov(cov, np.diag([1.0, 2.0, 2.0, 3.0, 1.0, 4.0, 2.0]))
+    out = tmp_path / "run"
+    assert main(["solve", "--cov", str(cov), "--important", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["group_norms"] == [0.0] * 7
+    assert capsys.readouterr().out.rstrip().endswith(" top_group_norms=0:0,1:0,2:0,3:0,4:0")
+
+
 def test_solve_rejects_asymmetric_covariance(tmp_path, capsys):
     cov = tmp_path / "cov.csv"
     _write_cov(cov, [[1.0, 0.5], [0.0, 1.0]])
@@ -324,7 +333,6 @@ _MALFORMED_INPUTS = {
     "gradient_inner_max_iter_float": {
         "solver": {"T": 2, "precision_method": "gradient", "inner_max_iter": 1.5},
     },
-    "solver_eta_string": {"solver": {"eta": "x"}},
     "h_null": {"h": None},
     "surrogate_null": {"surrogate": None},
     "coupling_null": {"coupling": None},
@@ -338,16 +346,12 @@ _MALFORMED_INPUTS = {
     "budget_float": {"selection": {"budget": 3.7}},
     "seed_bool": {"seed": True},
     "seed_float": {"seed": 3.0},
-    "standardize_string": {"standardize": "no"},
-    "standardize_int": {"standardize": 1},
     "gradient_inner_max_iter_zero": {
         "solver": {"T": 2, "precision_method": "gradient", "inner_max_iter": 0},
     },
     "solver_inner_max_iter_negative": {"solver": {"inner_max_iter": -3}},
-    "solver_eta_nan": {"solver": {"eta": float("nan")}},
     "solver_inner_tol_inf": {"solver": {"inner_tol": float("inf")}},
     "solver_outer_tol_nan": {"solver": {"outer_tol": float("nan")}},
-    "solver_lam_growth_inf": {"solver": {"lam_growth": float("inf")}},
     "tau_string": {"tau": "0.1"},
     "lambda_string": {"lambda": "1.0"},
     "coupling_bool": {"coupling": True},
@@ -388,6 +392,17 @@ def test_malformed_config_or_covariance_exits_2(tmp_path, capsys, case):
         argv = ["simulate", "--config", str(_small_config(tmp_path, **content)), "--out", out]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, refused", [
+    ({"solver": {"eta": 0.1}}, "unknown solver keys: ['eta']"),
+    ({"solver": {"lam_growth": 1.0}}, "unknown solver keys: ['lam_growth']"),
+    ({"standardize": False}, "unknown config keys: ['standardize']"),
+], ids=["solver_eta", "solver_lam_growth", "standardize"])
+def test_config_refuses_a_removed_setting(tmp_path, capsys, content, refused):
+    config = _small_config(tmp_path, **content)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert refused in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dump", [None, 5, ["run"]])
@@ -478,9 +493,21 @@ def test_solve_manifest_records_the_solver_block(tmp_path):
                "--precision-method", "gradient", "--out", str(out), "--quiet"])
     assert rc == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
-    assert config["solver"] == {"T": 7, "eta": 0.1, "inner_tol": 1e-8, "inner_max_iter": 5000,
-                                "outer_tol": 1e-7, "precision_method": "gradient",
-                                "lam_growth": 1.0}
+    assert config["solver"] == {"T": 7, "inner_tol": 1e-8, "inner_max_iter": 5000,
+                                "outer_tol": 1e-7, "precision_method": "gradient"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["prox", "--y", "1", "--lam", "0.5", "--quiet"],
+    ["prox", "--y", "1", "--lam", "0.5", "--seed", "1"],
+    ["prox", "--y", "1", "--lam", "0.5", "--jobs", "2"],
+    ["solve", "--cov", "cov.csv", "--important", "0", "--out", "run", "--jobs", "2"],
+    ["score", "--dump", "dump", "--out", "samples.csv", "--jobs", "2"],
+], ids=["prox_quiet", "prox_seed", "prox_jobs", "solve_jobs", "score_jobs"])
+def test_flags_a_subcommand_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 def test_flag_defaults_come_from_the_library():
@@ -689,7 +716,7 @@ def test_score_names_a_dump_file_that_is_not_utf8(tmp_path, capsys):
     (dump / "b.json").write_bytes(b"\xff\xfe[]")
     rc = main(["score", "--dump", str(dump), "--out", str(tmp_path / "s.csv")])
     assert rc == 2
-    assert "error: b.json: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert f"error: {dump / 'b.json'}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
 

@@ -259,7 +259,7 @@ def test_helpers_raise_the_serial_readers_first_error(helpers, tmp_path, case, f
     assert helpers.start_methods == [START_METHOD]
     assert multiprocessing.active_children() == []
     assert got[0] is ValueError
-    assert got[1].startswith(first_error)
+    assert got[1].startswith(f"{dump}{os.sep}{first_error}")  # the file by its path
     assert got == _outcome(lambda: _serial(dump))
 
 

@@ -385,32 +385,6 @@ def test_solver_gradient_route_agrees_with_eigen_route():
     assert np.linalg.norm(eig.omega_star.omega - grad.omega_star.omega) <= 1e-5
 
 
-def test_solver_continuation_tightens_copy_gap():
-    rng = np.random.default_rng(45)
-    problem = _problem(rng, 6, tau=0.5, lam=0.5)
-    plain = solve_ggm(problem, SolverOptions(T=40))
-    grown = solve_ggm(problem, SolverOptions(T=40, lam_growth=1.2))
-    # continuation drives omega toward its thresholded copy
-    gap_plain = np.linalg.norm(plain.omega_star.omega - update_auxiliary(plain.omega_star, problem).delta)
-    gap_grown = np.linalg.norm(grown.omega_star.omega - update_auxiliary(grown.omega_star, problem).delta)
-    assert gap_grown <= gap_plain + 1e-8
-
-
-def test_continuation_does_not_recheck_the_covariance(monkeypatch):
-    problem = _problem(np.random.default_rng(45), 30, tau=0.5, lam=0.5)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    report = solve_ggm(problem, SolverOptions(T=40, lam_growth=1.2, outer_tol=1e-300))
-    assert report.iterations == 40
-    assert calls == []
-
-
 @pytest.mark.parametrize("update", [update_precision_eig, update_precision])
 @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
 def test_precision_updates_refuse_a_lam_not_finite_and_positive(update, lam):
@@ -418,12 +392,6 @@ def test_precision_updates_refuse_a_lam_not_finite_and_positive(update, lam):
     # 2*I here, with no error
     with pytest.raises(ValueError, match="lam must be finite and > 0"):
         update(np.eye(3), 2.0 * np.eye(3), lam)
-
-
-def test_continuation_refuses_a_lam_grown_past_finite():
-    problem = _problem(np.random.default_rng(45), 6, tau=0.5, lam=1e300)
-    with pytest.raises(ValueError, match="lam must be finite"):
-        solve_ggm(problem, SolverOptions(T=5, lam_growth=1e10, outer_tol=1e-300))
 
 
 def test_report_json_fields():
@@ -542,8 +510,6 @@ def test_aux_matrix_rejects_non_finite():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(T=0)
-    with pytest.raises(ValueError):
-        SolverOptions(lam_growth=0.9)
     with pytest.raises(ValueError):
         SolverOptions(precision_method="newton")
 
@@ -678,22 +644,6 @@ def test_an_extrapolation_never_raises_the_residual_norm(monkeypatch, mode):
     assert all(after <= before for _, recorded, before, after in extrapolated if recorded)
 
 
-def test_continuation_runs_plain_sweeps():
-    problem = _problem(np.random.default_rng(45), 6, tau=0.5, lam=0.5)
-    report = solve_ggm(problem, SolverOptions(T=40, lam_growth=1.2, outer_tol=1e-300))
-    diag = np.maximum(np.diag(problem.sigma_hat), 1e-8)
-    delta = np.diag(1.0 / diag)
-    current = problem
-    values = []
-    for _ in range(40):
-        precision = update_precision_eig(current.sigma_hat, delta, current.lam)
-        delta = update_auxiliary(precision, current).delta
-        values.append(penalized_objective(precision, delta, current))
-        current = replace(current, lam=current.lam * 1.2)
-    assert [v for _, v in report.objective_trace[1:]] == values
-    np.testing.assert_array_equal(report.omega_star.omega, precision.omega)
-
-
 def test_gradient_route_is_accelerated_too():
     # plain sweeps still move Omega by 1e-4 per sweep after 400 sweeps here
     problem = _problem(np.random.default_rng(51), 8, tau=0.3)
@@ -707,7 +657,7 @@ def test_gradient_route_is_accelerated_too():
 
 def test_solver_options_fields_are_unchanged():
     assert [f.name for f in fields(SolverOptions)] == [
-        "T", "eta", "inner_tol", "inner_max_iter", "outer_tol", "precision_method", "lam_growth",
+        "T", "inner_tol", "inner_max_iter", "outer_tol", "precision_method",
     ]
 
 

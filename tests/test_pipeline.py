@@ -356,8 +356,9 @@ def test_config_rejects_unknown_keys():
 def test_config_file_refusals_name_the_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(_payload(bogus=1)))
-    with pytest.raises(ValueError, match=r"^run\.json: unknown config keys: \['bogus'\]$"):
+    with pytest.raises(ValueError) as excinfo:
         PipelineConfig.from_json_file(path)
+    assert str(excinfo.value) == f"{path}: unknown config keys: ['bogus']"
 
 
 def test_config_rejects_missing_keys():
@@ -400,8 +401,8 @@ def test_config_file_and_round_trip(tmp_path):
 
 
 def test_config_round_trip_keeps_every_solver_option():
-    solver = {"T": 17, "eta": 0.25, "inner_tol": 1e-9, "inner_max_iter": 321,
-              "outer_tol": 1e-5, "precision_method": "gradient", "lam_growth": 1.5}
+    solver = {"T": 17, "inner_tol": 1e-9, "inner_max_iter": 321,
+              "outer_tol": 1e-5, "precision_method": "gradient"}
     defaults = SolverOptions()
     assert set(solver) == set(vars(defaults))
     assert all(SolverOptions(**{name: value}) != defaults for name, value in solver.items())
