@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .ggm import (
     load_covariance,
     solve_ggm,
 )
-from .nodes import read_score_dump, replay_scores, select_important
+from .nodes import _process_pool, check_ema_weights, read_score_dump, replay_scores, select_important
 from .pipeline import PipelineConfig, recovery_f1, run_pipeline
 from .scalar_prox import ProxProblem, oracle_threshold, prox_objective, solve_threshold
 from .surrogates import SurrogateKind, SurrogateSpec
@@ -301,7 +301,7 @@ def cmd_simulate(args) -> int:
     payload = json_file(config_path)
     # validate before launching any runs so flag errors surface immediately
     with named(config_path):
-        base_seed = PipelineConfig.from_json_dict(payload).seed
+        config = PipelineConfig.from_json_dict(payload)
 
     out_root = Path(args.out)
     if args.seeds is not None:
@@ -314,12 +314,14 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--seeds repeats seed {repeated[0]}")
         runs = [(seed, str(out_root / f"seed_{seed}")) for seed in seeds]
     else:
-        seed = args.seed if args.seed is not None else base_seed
+        seed = args.seed if args.seed is not None else config.seed
         runs = [(seed, str(out_root))]
+    for seed, _ in runs:
+        replace(config, seed=seed)  # a planted run refuses a negative seed here, not midway
 
     if args.jobs > 1 and len(runs) > 1:
         # never more workers than runs: a worker past that has no run to take
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(runs))) as pool:
+        with _process_pool(min(args.jobs, len(runs))) as pool:
             futures = [
                 pool.submit(_simulate_one, payload, seed, out_dir, str(config_path))
                 for seed, out_dir in runs
@@ -348,6 +350,7 @@ def cmd_simulate(args) -> int:
 def cmd_score(args) -> int:
     started = _utc_now()
     dump_dir = Path(args.dump)
+    check_ema_weights(args.beta1, args.beta2, prefix="--")
     steps = read_score_dump(dump_dir)
     samples = replay_scores(steps, args.beta1, args.beta2)
     out_path = Path(args.out)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csv import BLOCK_VALUES, format_rows
-from ._inputs import integer, json_file, number_array, read_object, string
+from ._inputs import integer, json_file, number, number_array, read_object, string
 from .errors import NumericalError
 
 __all__ = [
@@ -184,6 +184,23 @@ def sensitivity(values, grads) -> np.ndarray:
     return np.abs(values * grads)
 
 
+def ema_weight(beta) -> float:
+    """A number in [0, 1) as a float: the range of the EMA weights ``beta1`` and ``beta2``."""
+    beta = number(beta)
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"must be in [0, 1), got {beta}")
+    return beta
+
+
+def check_ema_weights(beta1, beta2, prefix: str = "") -> None:
+    """Refuse a weight outside [0, 1) with a ValueError naming it ``prefix`` + ``beta1``/``beta2``."""
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        try:
+            ema_weight(beta)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{prefix}{name} {exc}") from None
+
+
 @dataclass(frozen=True)
 class ImportanceState:
     """EMA pair tracking smoothed sensitivity and its absolute deviation.
@@ -202,9 +219,7 @@ class ImportanceState:
         spread = np.asarray(self.spread, dtype=float)
         if mean.shape != spread.shape:
             raise ValueError("mean/spread shape mismatch")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+        check_ema_weights(self.beta1, self.beta2)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(spread))):
             raise ValueError("EMA state contains non-finite entries")
         if np.any(mean < 0) or np.any(spread < 0):
@@ -549,13 +564,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _process_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes: the one way this package starts any.
+
+    They start by ``fork`` on Linux when this process runs one Python
+    thread, and by ``spawn`` everywhere else: a forked process starts at
+    once, but another thread may hold a lock that it inherits, and macOS
+    libraries are not fork-safe.  ``multiprocessing`` is imported here, so
+    a run that starts no process does not load it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = sys.platform == "linux" and threading.active_count() == 1
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork" if fork else "spawn"))
+
+
 def _read_files(files: list):
     """:func:`_read_file` of each file, in order; in helper processes when that pays.
 
     One helper per usable CPU, and no more than there are files or
     multiples of ``_HELPER_MIN_BYTES``; with fewer than two, the files are
-    read here, one at a time.  Helpers start by ``fork`` on Linux when this
-    process runs one Python thread, and by ``spawn`` everywhere else.
+    read here, one at a time.  Helpers come from :func:`_process_pool`.
     Results stop at the first file that failed.  If the helpers cannot
     start or die, the files are read here.
     """
@@ -566,7 +596,6 @@ def _read_files(files: list):
     helpers = min(_usable_cpus(), len(files), size // max(_HELPER_MIN_BYTES, 1))
     if helpers > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         # a process that multiprocessing started, such as a `simulate --jobs`
@@ -574,11 +603,7 @@ def _read_files(files: list):
         if multiprocessing.parent_process() is None:
             results = []
             try:
-                # a forked helper starts at once, but another thread may hold a
-                # lock that it inherits, and macOS libraries are not fork-safe
-                fork = sys.platform == "linux" and threading.active_count() == 1
-                context = multiprocessing.get_context("fork" if fork else "spawn")
-                pool = ProcessPoolExecutor(helpers, mp_context=context)
+                pool = _process_pool(helpers)
                 try:
                     for result in pool.map(_read_file, files):
                         results.append(result)

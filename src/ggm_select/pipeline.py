@@ -42,6 +42,7 @@ from .ggm import (
 )
 from .nodes import (
     SampleSet,
+    ema_weight,
     read_score_dump,
     replay_scores,
     sample_statistics,
@@ -244,7 +245,7 @@ _CONFIG_READERS = {
     "mode": string, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": number,
     "lambda": number, "selection": _selection, "solver": SolverOptions.from_json_dict,
     "n": integer, "k_connected": integer, "coupling": number, "m": integer, "seed": integer,
-    "dump": string, "beta1": number, "beta2": number, "ggm_mode": GgmMode,
+    "dump": string, "beta1": ema_weight, "beta2": ema_weight, "ggm_mode": GgmMode,
 }
 _CONFIG_FIELDS = {"lambda": "lam", "dump": "dump_dir"}
 
@@ -284,6 +285,8 @@ class PipelineConfig:
                     raise ValueError(f"planted mode requires {name!r}")
             if self.m < 2:
                 raise ValueError("planted mode needs m >= 2 for a covariance")
+            if self.seed < 0:
+                raise ValueError(f"planted mode needs seed >= 0, got {self.seed}")
         else:
             if self.dump_dir is None:
                 raise ValueError("dump mode requires 'dump' (directory path)")

@@ -1,7 +1,9 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
-from concurrent.futures import Future
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -269,11 +271,15 @@ def test_simulate_seed_sweep_parallel(tmp_path, capsys):
     rc = main(["simulate", "--config", str(config), "--out", str(out),
                "--seeds", "1,2", "--jobs", "2"])
     assert rc == 0
-    assert (out / "seed_1" / "selection.json").exists()
-    assert (out / "seed_2" / "selection.json").exists()
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert "seed=1" in lines[0] and "seed=2" in lines[1]
+    serial = tmp_path / "serial"
+    assert main(["simulate", "--config", str(config), "--out", str(serial),
+                 "--seeds", "1,2", "--jobs", "1", "--quiet"]) == 0
+    for seed in ("seed_1", "seed_2"):
+        for name in ("selection.json", "report.json", "samples.csv"):
+            assert (out / seed / name).read_bytes() == (serial / seed / name).read_bytes()
 
 
 def test_simulate_seed_sweep_prints_average_f1(tmp_path, capsys):
@@ -442,7 +448,7 @@ def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):
     class InlineExecutor:
         """Stands in for ProcessPoolExecutor: records max_workers, runs each call inline."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             started.append(max_workers)
 
         def __enter__(self):
@@ -456,13 +462,87 @@ def test_simulate_starts_at_most_one_worker_per_seed(tmp_path, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     config = _small_config(tmp_path)
     rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "sweep"),
                "--seeds", "1,2", "--jobs", "8", "--quiet"])
     assert rc == 0
     assert started == [2]
     assert (tmp_path / "sweep" / "seed_2" / "selection.json").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_workers_start_by_the_dump_readers_rule(tmp_path, monkeypatch, threads):
+    # one rule for every process the package starts: fork only on Linux and
+    # only from a caller running one Python thread
+    methods = []
+
+    def record(max_workers, mp_context):
+        methods.append(mp_context.get_start_method())
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+    config = _small_config(tmp_path)
+    stop = threading.Event()
+    waiters = [threading.Thread(target=stop.wait) for _ in range(threads - 1)]
+    for waiter in waiters:
+        waiter.start()
+    try:
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "sweep"),
+                   "--seeds", "1,2", "--jobs", "2", "--quiet"])
+    finally:
+        stop.set()
+        for waiter in waiters:
+            waiter.join(timeout=60)
+    assert rc == 0
+    fork = sys.platform == "linux" and threads == 1
+    assert methods == ["fork" if fork else "spawn"]
+
+
+def test_a_run_that_starts_no_process_does_not_import_multiprocessing(tmp_path):
+    config = _small_config(tmp_path)
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run"), "--quiet"]
+    code = (
+        "import sys\n"
+        "from ggm_select import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          encoding="utf-8", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "run" / "selection.json").exists()
+
+
+@pytest.mark.parametrize("where, flags, refused", [
+    ("config", [], "planted mode needs seed >= 0, got -1"),
+    ("--seed", ["--seed", "-3"], "planted mode needs seed >= 0, got -3"),
+    ("--seeds", ["--seeds", "1,-2"], "planted mode needs seed >= 0, got -2"),
+], ids=["config", "seed_flag", "seeds_flag"])
+def test_planted_runs_refuse_a_negative_seed_before_any_run(tmp_path, capsys, where, flags, refused):
+    config = _small_config(tmp_path, **({"seed": -1} if where == "config" else {}))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(config), "--out", str(out), *flags]) == 2
+    assert refused in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dump_mode_records_a_negative_seed(tmp_path):
+    config = _small_config(tmp_path, mode="dump", dump=str(tmp_path), seed=-4)
+    assert PipelineConfig.from_json_file(config).seed == -4
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2"])
+@pytest.mark.parametrize("beta", [1.0, -0.1])
+def test_betas_outside_the_ema_range_are_refused_before_the_dump_is_read(tmp_path, capsys, key, beta):
+    missing = str(tmp_path / "no_dump")  # reading it would fail with another message
+    config = _small_config(tmp_path, mode="dump", dump=missing, **{key: beta})
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert f"config key {key!r}: must be in [0, 1), got {beta}" in capsys.readouterr().err
+    assert main(["score", "--dump", missing, f"--{key}", str(beta),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert f"--{key} must be in [0, 1), got {beta}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seeds, repeated", [("1,1", 1), ("2,1,3,1,2", 2)])
