@@ -33,7 +33,7 @@ from .ggm import (
     load_covariance,
     solve_ggm,
 )
-from .nodes import _process_pool, check_ema_weights, read_score_dump, replay_scores, select_important
+from .nodes import _process_pool, ema_weight, read_score_dump, replay_scores, select_important
 from .pipeline import PipelineConfig, recovery_f1, run_pipeline
 from .scalar_prox import ProxProblem, oracle_threshold, prox_objective, solve_threshold
 from .surrogates import SurrogateKind, SurrogateSpec
@@ -350,7 +350,8 @@ def cmd_simulate(args) -> int:
 def cmd_score(args) -> int:
     started = _utc_now()
     dump_dir = Path(args.dump)
-    check_ema_weights(args.beta1, args.beta2, prefix="--")
+    ema_weight(args.beta1, "--beta1")
+    ema_weight(args.beta2, "--beta2")
     steps = read_score_dump(dump_dir)
     samples = replay_scores(steps, args.beta1, args.beta2)
     out_path = Path(args.out)

@@ -184,21 +184,15 @@ def sensitivity(values, grads) -> np.ndarray:
     return np.abs(values * grads)
 
 
-def ema_weight(beta) -> float:
-    """A number in [0, 1) as a float: the range of the EMA weights ``beta1`` and ``beta2``."""
+def ema_weight(beta, name: str = "") -> float:
+    """``beta`` as a float if it is a number in [0, 1), the range of ``beta1`` and ``beta2``.
+
+    A refusal's message starts with ``name``.
+    """
     beta = number(beta)
     if not 0.0 <= beta < 1.0:
-        raise ValueError(f"must be in [0, 1), got {beta}")
+        raise ValueError(f"{name} must be in [0, 1), got {beta}".lstrip())
     return beta
-
-
-def check_ema_weights(beta1, beta2, prefix: str = "") -> None:
-    """Refuse a weight outside [0, 1) with a ValueError naming it ``prefix`` + ``beta1``/``beta2``."""
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        try:
-            ema_weight(beta)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{prefix}{name} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,8 @@ class ImportanceState:
         spread = np.asarray(self.spread, dtype=float)
         if mean.shape != spread.shape:
             raise ValueError("mean/spread shape mismatch")
-        check_ema_weights(self.beta1, self.beta2)
+        ema_weight(self.beta1, "beta1")
+        ema_weight(self.beta2, "beta2")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(spread))):
             raise ValueError("EMA state contains non-finite entries")
         if np.any(mean < 0) or np.any(spread < 0):
