@@ -81,6 +81,10 @@ def _dump_json(payload: dict, path: Path) -> None:
     C encoder in blocks of ``_NUMBER_BLOCK`` items, whose ``", "`` separators
     become ``",\\n"`` plus the indentation: the JSON text of a number,
     ``true``, ``false``, ``NaN`` or ``Infinity`` never contains ``", "``.
+    A 1-D NumPy array of numbers is written the same way, each block through
+    ``tolist()``, so the payload never holds the whole array as Python
+    floats; its text is that of ``json.dumps(array.tolist())``, which a
+    library caller gets from ``json.dumps(payload, default=np.ndarray.tolist)``.
     Empty containers and scalars go through ``json.dumps``.
     """
     with path.open("w", encoding="utf-8") as handle:
@@ -91,6 +95,7 @@ def _dump_json(payload: dict, path: Path) -> None:
 def _write_json(write, value, newline: str) -> None:
     """Write ``value`` as indented JSON; ``newline`` is a newline and the indentation of its line."""
     inner = newline + "  "
+    array = isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "biuf"
     if isinstance(value, dict) and value:
         separator = "{" + inner
         for key in sorted(value):
@@ -100,12 +105,13 @@ def _write_json(write, value, newline: str) -> None:
             _write_json(write, value[key], inner)
             separator = "," + inner
         write(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
+    elif (array or isinstance(value, (list, tuple))) and len(value):
         separator = "," + inner
         write("[" + inner)
-        if all(isinstance(item, (int, float)) for item in value):
+        if array or all(isinstance(item, (int, float)) for item in value):
             for start in range(0, len(value), _NUMBER_BLOCK):
-                block = json.dumps(value[start:start + _NUMBER_BLOCK])
+                block = value[start:start + _NUMBER_BLOCK]
+                block = json.dumps(block.tolist() if array else block)
                 write((separator if start else "") + block[1:-1].replace(", ", separator))
         else:
             for index, item in enumerate(value):
@@ -114,7 +120,7 @@ def _write_json(write, value, newline: str) -> None:
                 _write_json(write, item, inner)
         write(newline + "]")
     else:
-        write(json.dumps(value))
+        write(json.dumps(value.tolist() if array else value))
 
 
 def _write_manifest(path: Path, command: str, config: dict, seed,

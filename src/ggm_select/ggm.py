@@ -278,12 +278,20 @@ class SolverReport:
     min_eig_trace: np.ndarray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
+        """The ``report.json`` payload; ``omega`` and ``group_norms`` stay 1-D arrays.
+
+        ``omega`` is the flat view ``omega_star.omega.ravel()`` (no copy for a
+        C-ordered matrix).  The CLI's writer encodes each array block by
+        block, so an n x n matrix is never n^2 Python floats at once; a
+        library caller gets the same JSON text from
+        ``json.dumps(payload, default=np.ndarray.tolist)``.
+        """
         return {
-            "omega": self.omega_star.omega.ravel().tolist(),
+            "omega": self.omega_star.omega.ravel(),
             "objective_trace": [[int(t), float(v)] for t, v in self.objective_trace],
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
-            "group_norms": self.group_norms.tolist(),
+            "group_norms": self.group_norms,
         }
 
 

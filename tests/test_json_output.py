@@ -19,7 +19,8 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
 
 
 def _expected(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist)
+            + "\n").encode()
 
 
 def _written(payload, path: Path) -> bytes:
