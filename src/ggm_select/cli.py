@@ -82,12 +82,15 @@ def _dump_json(payload: dict, path: Path) -> None:
     become ``",\\n"`` plus the indentation: the JSON text of a number,
     ``true``, ``false``, ``NaN`` or ``Infinity`` never contains ``", "``.
     A 1-D NumPy array of numbers is written the same way, each block through
-    ``tolist()``, so the payload never holds the whole array as Python
-    floats; its text is that of ``json.dumps(array.tolist())``, which a
+    ``tolist()``, so at most one block of it is held as Python floats at
+    a time; its text is that of ``json.dumps(array.tolist())``, which a
     library caller gets from ``json.dumps(payload, default=np.ndarray.tolist)``.
-    Empty containers and scalars go through ``json.dumps``.
+    Any other array raises ``TypeError``, as in ``json.dumps`` without
+    ``default``.  Empty containers and scalars go through ``json.dumps``.
+    The file is opened with ``newline="\\n"``: the default would write
+    ``"\\r\\n"`` for each newline on Windows.
     """
-    with path.open("w", encoding="utf-8") as handle:
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
         _write_json(handle.write, payload, "\n")
         handle.write("\n")
 

@@ -280,8 +280,9 @@ class SolverReport:
     def to_json_dict(self) -> dict:
         """The ``report.json`` payload; ``omega`` and ``group_norms`` stay 1-D arrays.
 
-        ``omega`` is the flat view ``omega_star.omega.ravel()`` (no copy for a
-        C-ordered matrix).  The CLI's writer encodes each array block by
+        ``omega`` is the flat view ``omega_star.omega.ravel()`` (a copy only
+        for a matrix not C-ordered) and ``group_norms`` is the report's own
+        array.  The CLI's writer encodes each array block by
         block, so an n x n matrix is never n^2 Python floats at once; a
         library caller gets the same JSON text from
         ``json.dumps(payload, default=np.ndarray.tolist)``.

@@ -81,8 +81,8 @@ class LayerShape:
 class NodeLayout:
     """Node ordering over layers: per layer the r pairs then the bias.
 
-    The flat index runs over layers in the given order and is a bijection
-    onto range(n) with n = sum(r + 1).
+    Nodes are numbered over the layers in the given order, n = sum(r + 1)
+    in all, as ``node_names()`` lists them.
     """
 
     layers: tuple
@@ -104,20 +104,6 @@ class NodeLayout:
             names.extend(f"L{layer.layer_id}:A{i}" for i in range(layer.r))
             names.append(f"L{layer.layer_id}:b")
         return tuple(names)
-
-    def flat_index(self, layer_id: int, component) -> int:
-        """Flat node index of pair ``component`` (int) or the bias ("b")."""
-        offset = 0
-        for layer in self.layers:
-            if layer.layer_id == layer_id:
-                if component == BIAS:
-                    return offset + layer.r
-                comp = int(component)
-                if not 0 <= comp < layer.r:
-                    raise ValueError(f"layer {layer_id} has no component {component}")
-                return offset + comp
-            offset += layer.r + 1
-        raise ValueError(f"unknown layer id {layer_id}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as nps
 
 from ggm_select import cli
 from ggm_select.cli import main
@@ -28,14 +29,25 @@ def _written(payload, path: Path) -> bytes:
     return path.read_bytes()
 
 
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+# 1-D float64 arrays, the form of report.json's omega and group_norms: short
+# ones span several of the patched blocks of 1, 2 or 3 items, and the long
+# ones fill one block of 4096 or spill one item past it (a fill value makes
+# them quick to draw)
+ARRAYS = nps.arrays(
+    np.float64,
+    st.sampled_from([*range(10), 4096, 4097]),
+    elements=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+    fill=st.sampled_from(SPECIAL_FLOATS),
+)
 NUMBERS = st.one_of(
     st.integers(min_value=-(10**30), max_value=10**30),
     st.floats(),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    st.sampled_from(SPECIAL_FLOATS),
     st.booleans(),
 )
 TEXT = st.one_of(st.text(), st.sampled_from(["a, b", ", ", "é, ü", "Ω, λ\n, ∞", "1, 2"]))
-SCALARS = st.one_of(NUMBERS, st.none(), TEXT)
+SCALARS = st.one_of(NUMBERS, st.none(), TEXT, ARRAYS)
 TREES = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -65,6 +77,14 @@ def test_writer_empty_containers_and_scalars(tmp_path, payload):
     assert _written(payload, tmp_path / "out.json") == _expected(payload)
 
 
+@pytest.mark.parametrize("payload", [
+    np.array([]), {"a": np.array([])}, np.array(SPECIAL_FLOATS), np.array([True, False]),
+    np.arange(-3, 3), np.array([2**64 - 1], dtype=np.uint64), np.array([0.1, 3e38], dtype=np.float32),
+], ids=["empty", "empty_in_dict", "special_floats", "bool", "int", "uint64", "float32"])
+def test_writer_arrays_as_their_lists(tmp_path, payload):
+    assert _written(payload, tmp_path / "out.json") == _expected(payload)
+
+
 def test_writer_lists_longer_than_one_block(tmp_path):
     rng = np.random.default_rng(0)
     size = 2 * cli._NUMBER_BLOCK + 7
@@ -78,6 +98,9 @@ def test_writer_lists_longer_than_one_block(tmp_path):
         "tuple": tuple(numbers),
         "mixed": mixed,
         "inner": [[numbers[:cli._NUMBER_BLOCK + 1]]],
+        "array": np.array(numbers, dtype=float),
+        "arrays": [np.array(numbers[:cli._NUMBER_BLOCK], dtype=float),
+                   np.array(numbers[:cli._NUMBER_BLOCK + 1], dtype=float)],
     }
     assert _written(payload, tmp_path / "out.json") == _expected(payload)
 
@@ -85,6 +108,13 @@ def test_writer_lists_longer_than_one_block(tmp_path):
 def test_writer_refuses_non_string_keys(tmp_path):
     with pytest.raises(TypeError, match="keys must be strings"):
         cli._dump_json({"a": {1: 2}}, tmp_path / "out.json")
+
+
+@pytest.mark.parametrize("array", [np.eye(2), np.array(["a, b"]), np.array([1.0], dtype=object)],
+                         ids=["2-D", "text", "object"])
+def test_writer_refuses_arrays_other_than_1d_numbers(tmp_path, array):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._dump_json({"a": array}, tmp_path / "out.json")
 
 
 def test_simulate_and_solve_write_json_dumps_bytes(tmp_path, monkeypatch):
@@ -122,10 +152,12 @@ def test_writer_peak_memory_on_a_300_by_300_report(tmp_path):
         iterations=59,
         group_norms=rng.random(300),
     )
-    payload = report.to_json_dict()
     path = tmp_path / "report.json"
     tracemalloc.start()
     try:
+        # the payload is built in the traced region: 90,000 Python floats
+        # in it would take about 3 MB
+        payload = report.to_json_dict()
         cli._dump_json(payload, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -343,17 +343,10 @@ def test_sample_set_rejects_negative_and_duplicate():
 # ---------------------------------------------------------------------- layout
 
 
-def test_layout_names_and_flat_index():
+def test_layout_size_and_node_names():
     layout = NodeLayout((LayerShape(0, 4, 3, 2), LayerShape(1, 3, 2, 1)))
     assert layout.n == 5
     assert layout.node_names() == ("L0:A0", "L0:A1", "L0:b", "L1:A0", "L1:b")
-    assert layout.flat_index(0, 1) == 1
-    assert layout.flat_index(0, "b") == 2
-    assert layout.flat_index(1, "b") == 4
-    with pytest.raises(ValueError):
-        layout.flat_index(0, 2)
-    with pytest.raises(ValueError):
-        layout.flat_index(9, 0)
 
 
 def test_layout_rejects_duplicate_layers():
