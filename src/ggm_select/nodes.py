@@ -24,6 +24,7 @@ indices are 0-based throughout.
 from __future__ import annotations
 
 import functools
+import json
 import os
 import sys
 import threading
@@ -458,18 +459,22 @@ def _spells_a_boolean(text: str) -> bool:
     return False
 
 
-def _decode_vectors(obj: dict, booleans: bool = True) -> dict:
+def _decode_vectors(obj: dict, booleans: bool = True, arrays: dict = None) -> dict:
     """JSON object hook: ``values``/``grads`` as float arrays as soon as an object is decoded.
 
     Converting per object keeps only one record's float lists alive at a
-    time instead of the whole file's.  ``booleans`` is passed to
-    :func:`number_array`.  A value that it refuses stays as decoded, so
-    :func:`_parse_record` raises the error it raises without the hook.
+    time instead of the whole file's.  A string that ``arrays`` maps (see
+    :func:`._json_numbers.cut_number_arrays`) is its array.  ``booleans`` is
+    passed to :func:`number_array`.  A value that it refuses stays as
+    decoded, so :func:`_parse_record` raises the error it raises without
+    the hook.
     """
     for key in ("values", "grads"):
         if key in obj:
+            value = obj[key]
             try:
-                obj[key] = number_array(obj[key], booleans)
+                obj[key] = number_array(arrays.get(value, value) if arrays and type(value) is str else value,
+                                        booleans)
             except (TypeError, ValueError):
                 pass
     return obj
@@ -514,7 +519,7 @@ def _parse_record(record, where: str):
 _HELPER_MIN_BYTES = 24_000_000
 
 
-def _read_file(path: Path):
+def _read_file(path: Path, cut: bool = True):
     """Parse one dump file into ``(records, packed, error)``.
 
     ``records`` lists ``(step, key, length)`` in file order and ``packed``
@@ -523,17 +528,29 @@ def _read_file(path: Path):
     returned, not raised, after the records parsed before it, so the caller
     checks those first and then raises it, as a record-by-record read would.
     Runs in a helper process for large dumps, so its result is small and
-    picklable.
+    picklable.  With ``cut``, the file's number arrays are converted by
+    :func:`._json_numbers.cut_number_arrays` and ``json`` parses the rest;
+    a file that this cannot read, or any failure, is read again from the
+    start by ``json`` alone, whose refusals every caller gets.
     """
     records, arrays, error = [], [], None
     try:
-        payload = json_file(path, lambda text: functools.partial(
-            _decode_vectors, booleans=_spells_a_boolean(text)))
+        if cut:
+            from ._json_numbers import cut_number_arrays  # only a dump read loads it
+
+            text, numbers = cut_number_arrays(path.read_bytes())
+            payload = json.loads(text, object_hook=functools.partial(
+                _decode_vectors, booleans=_spells_a_boolean(text), arrays=numbers))
+        else:
+            payload = json_file(path, lambda text: functools.partial(
+                _decode_vectors, booleans=_spells_a_boolean(text)))
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):
             step, key, values, grads = _parse_record(record, f"{path}: record {pos}")
             records.append((step, key, values.size))
             arrays.append(sensitivity(values, grads))
     except Exception as exc:  # any failure of the read; the caller raises it in file order
+        if cut:
+            return _read_file(path, cut=False)
         error = exc
     return records, np.concatenate(arrays) if arrays else np.empty(0), error
 
