@@ -47,8 +47,8 @@ import numpy as np
 
 __all__ = ["cut_number_arrays"]
 
-# tokens converted per call of _convert: its temporaries stay near 6 MB
-_BLOCK = 1 << 16
+# tokens converted per call of _convert: its temporaries stay near 2 MB
+_BLOCK = 1 << 15
 _WIDTH = 16  # bytes of a token's window, two 64-bit words
 _MAX_DIGITS = 15  # below 10**15, and so below 2**53
 _MAX_POWER = 22  # 10**22 is the largest exact power of ten
@@ -91,13 +91,6 @@ _SHAPE_CHARS = {**dict(zip(range(8), "0.-+e ??")), _OUTSIDE: ""}
 _GRAMMAR = re.compile(r"( *)(-?)(0+)(?:\.(0+))?(?:e([-+]?)(0+))?( *)")
 
 
-def _eight_digits(words):
-    """The integer whose decimal digits are the value nibbles of each word, byte 0 first."""
-    words = words * _U(2561) >> _U(8)
-    words = (words & _U(0x00FF00FF00FF00FF)) * _U(6553601) >> _U(16)
-    return (words & _U(0x0000FFFF0000FFFF)) * _U(42949672960001) >> _U(32) & _U(0xFFFFFFFF)
-
-
 def _shape(key: int):
     """What the tokens of one key need, or None if they are not numbers this module reads.
 
@@ -136,47 +129,57 @@ def _shape(key: int):
                 trail=len(trail), least=10 ** (digits - 1) if len(whole) > 1 else 0, zero=0.0 if integer else -0.0)
 
 
-class _Slots:
-    """Token keys hashed into ``_SLOTS`` slots, each slot read for the last key stored in it.
+# what a key that is not a number reads as: no token of it is taken
+_NO_SHAPE = dict(_shape(int(_BEFORE[1])), plain=None)  # the shape of "0"
 
-    ``plain[s]`` is the key of slot ``s`` if its tokens are plain numbers
-    (see :func:`_shape`); ``other[s]`` is the key if they are other numbers,
-    whose shape is ``shapes[ids[s]]``.  A token whose key is in neither is
-    not read here: not a number, or a key that shares its slot with another.
+
+class _Slots:
+    """Token keys hashed into ``_SLOTS`` slots, each slot holding the shape of one key.
+
+    Row ``s`` of ``plain`` holds the key of slot ``s`` if its tokens are
+    plain numbers (see :func:`_shape`), then their ``stay`` and ``move``
+    masks and the bits of their ``scale``; ``other[s]`` is the key if they
+    are other numbers, whose shape is ``shapes[ids[s]]``.  A token whose
+    key is in neither is not read here: not a number, or a key whose slot
+    holds another key.
     """
 
-    _FIELDS = ("stay", "move", "scale")
     _OTHER_FIELDS = ("divisor", "scale", "first", "end", "digits", "exp_sign", "exp_digits", "trail",
                      "least", "zero")
 
     def __init__(self):
-        self.stored, self.read, self.plain, self.other = (np.full(_SLOTS, _EMPTY) for _ in range(4))
-        self.stay, self.move = np.zeros((2, _SLOTS), _U)
-        self.scale, self.ids = np.ones(_SLOTS), np.zeros(_SLOTS, np.intp)
+        self.plain = np.full((_SLOTS, 4), _EMPTY)
+        self.read, self.other = np.full((2, _SLOTS), _EMPTY)
+        self.ids = np.zeros(_SLOTS, np.intp)
         self.shapes, self.known, self.columns = [None], {}, None
 
-    def store(self, keys):
-        slots = (keys * _HASH >> _U(48)).view(np.intp)
-        self.stored[slots] = keys
-        for slot in np.flatnonzero(self.stored != self.read).tolist():
-            key = int(self.stored[slot])
+    @staticmethod
+    def slots(keys):
+        return (keys * _HASH >> _U(48)).view(np.intp)
+
+    def learn(self, keys, slots) -> bool:
+        """Read the shape of each key its slot does not hold; the last key for a slot wins it."""
+        new = self.read[slots] != keys
+        if not new.any():
+            return False
+        self.read[slots[new]] = keys[new]
+        for slot in np.unique(slots[new]).tolist():
+            key = int(self.read[slot])
             if key not in self.known:
                 self.known[key] = len(self.shapes)
                 self.shapes.append(_shape(key))
                 self.columns = None
-            shape = self.shapes[self.known[key]]
+            shape = self.shapes[self.known[key]] or _NO_SHAPE
             self.ids[slot] = self.known[key]
-            self.read[slot] = key
-            self.plain[slot] = key if shape and shape["plain"] else _EMPTY
-            self.other[slot] = key if shape and not shape["plain"] else _EMPTY
-            if shape:
-                self.stay[slot], self.move[slot], self.scale[slot] = (shape[f] for f in self._FIELDS)
-        return slots
+            scale = np.float64(shape["scale"]).view(_U)
+            self.plain[slot] = (key if shape["plain"] else _EMPTY, shape["stay"], shape["move"], scale)
+            self.other[slot] = key if shape["plain"] is False else _EMPTY
+        return True
 
     def other_columns(self, slots):
         """The other-shape fields of :func:`_shape` for the tokens of ``slots``."""
         if self.columns is None:
-            shapes = [shape or _shape(int(_BEFORE[1])) for shape in self.shapes]  # "0" stands in
+            shapes = [shape or _NO_SHAPE for shape in self.shapes]
             self.columns = [np.array([shape[f] for shape in shapes]) for f in self._OTHER_FIELDS]
         ids = self.ids[slots]
         return [column[ids] for column in self.columns]
@@ -186,8 +189,62 @@ _FROM = np.array([[_bytes(p, _WIDTH, word) for word in range(2)] for p in range(
 _TOP = np.array([_bytes(_WIDTH - n, _WIDTH, 1) for n in range(9)], dtype=_U)
 
 
-def _other_values(windows, words, ends, slots, keys, store: _Slots):
-    """Values of tokens of other shapes (see :func:`_shape`), and whether each is read here."""
+def _keys(windows, codes, starts, ends):
+    """The windows of the tokens ``starts``-``ends`` (two words a row) and their keys.
+
+    A key holds the class nibbles of its token's window with the bytes
+    before the token marked.  A token longer than its window has its
+    leading whitespace stepped over; ``starts`` is a new array.
+    """
+    lengths = ends - starts
+    long = np.flatnonzero(lengths > _WIDTH)
+    while long.size:
+        long = long[codes[starts[long] + _WIDTH] == _SPACE]
+        starts[long] += 1
+        lengths[long] -= 1
+        long = long[lengths[long] > _WIDTH]
+    window = windows[ends].view("<u8").reshape(-1, 2)
+    keys = window[:, 0] & _CLASS
+    keys >>= _U(4)
+    keys |= window[:, 1] & _CLASS
+    keys |= np.take(_BEFORE, np.minimum(lengths, _WIDTH + 1))
+    return window, keys
+
+
+def _eight_digits(words):
+    """The integer whose decimal digits are the value nibbles of each word, byte 0 first; in place."""
+    for factor, shift, mask in ((2561, 8, 0x00FF00FF00FF00FF), (6553601, 16, 0x0000FFFF0000FFFF),
+                                (42949672960001, 32, 0xFFFFFFFF)):
+        words *= _U(factor)
+        words >>= _U(shift)
+        words &= _U(mask)
+    return words
+
+
+def _convert(windows, codes, separators, store: _Slots):
+    """The value of each plain token between consecutive ``separators``, and whether it is one."""
+    window, keys = _keys(windows, codes, separators[:-1] + 1, separators[1:])
+    slots = store.slots(keys)
+    shape = np.take(store.plain, slots, 0)
+    ok = shape[:, 0] == keys
+    if not ok.all() and store.learn(keys[~ok], slots[~ok]):
+        shape = np.take(store.plain, slots, 0)
+        ok = shape[:, 0] == keys
+    low = window[:, 1].copy()
+    # the point's byte gives way to the integer digit below it
+    digits = low & shape[:, 1]
+    low &= shape[:, 2]
+    low <<= _U(8)
+    digits |= low
+    values = _eight_digits(digits).astype(float)
+    values /= shape[:, 3].view(float)
+    return values, ok
+
+
+def _other_values(windows, words, codes, starts, ends, store: _Slots):
+    """Values of the tokens ``starts``-``ends`` of other shapes (see :func:`_shape`), and whether each is one."""
+    _, keys = _keys(windows, codes, starts, ends)
+    slots = store.slots(keys)
     divisor, scale, first, end, digits, exp_sign, exp_digits, trail, least, zero = store.other_columns(slots)
     parts = _eight_digits(windows[ends - (_WIDTH - end)].view("<u8").reshape(-1, 2) & np.take(_FROM, first, 0))
     total = parts[:, 0] * _U(100_000_000) + parts[:, 1]
@@ -201,37 +258,14 @@ def _other_values(windows, words, ends, slots, keys, store: _Slots):
     return values + zero, ok
 
 
-def _convert(windows, words, codes, starts, ends, store: _Slots):
-    """The value of each token ``starts``-``ends`` of the text, and whether it is a number read here."""
-    lengths = ends - starts
-    long = np.flatnonzero(lengths > _WIDTH)
-    while long.size:  # step over leading whitespace until the token fits its window
-        long = long[codes[starts[long] + _WIDTH] == _SPACE]
-        starts[long] += 1
-        lengths[long] -= 1
-        long = long[lengths[long] > _WIDTH]
-    window = windows[ends].view("<u8").reshape(-1, 2)
-    classes = window & _CLASS
-    keys = classes[:, 0] >> _U(4) | classes[:, 1] | np.take(_BEFORE, np.minimum(lengths, _WIDTH + 1))
-    slots = store.store(keys)
-    ok = np.take(store.plain, slots) == keys
-    low = window[:, 1]
-    # the point's byte gives way to the integer digit below it
-    mantissa = _eight_digits(low & np.take(store.stay, slots) | (low & np.take(store.move, slots)) << _U(8))
-    values = mantissa.astype(float) / np.take(store.scale, slots)
-    other = np.flatnonzero(~ok)
-    if other.size:
-        values[other], ok[other] = _other_values(windows, words, ends[other], slots[other], keys[other], store)
-    return values, ok
-
-
 def _arrays(text: np.ndarray, separators: np.ndarray):
     """Where each array outside strings that holds no other array opens and closes in ``separators``."""
-    kinds = text[separators]
-    quotes = separators[kinds == ord('"')]
-    brackets = np.flatnonzero(kinds > ord(","))
+    marks = np.flatnonzero(text[separators] != ord(","))
+    kinds = text[separators[marks]]
+    quotes = separators[marks[kinds == ord('"')]]
+    brackets = marks[kinds != ord('"')]
     brackets = brackets[np.searchsorted(quotes, separators[brackets]) % 2 == 0]
-    opens = kinds[brackets] == ord("[")
+    opens = text[separators[brackets]] == ord("[")
     first = np.flatnonzero(opens[:-1] & ~opens[1:])
     opens, closes = brackets[first], brackets[first + 1]
     # a string stands where a value or a key stands; an array only where a value does
@@ -264,23 +298,25 @@ def cut_number_arrays(data: bytes):
     code_bytes = np.frombuffer(codes, np.uint8)
     separators = np.flatnonzero(code_bytes == _SEPARATOR) - _WIDTH
     opens, closes = _arrays(np.frombuffer(data, np.uint8), separators)
-    # the tokens of array k lie between separators opens[k] and closes[k]
-    counts = (closes - opens).tolist()
-    tokens = np.concatenate([np.arange(o, c) for o, c in zip(opens.tolist(), closes.tolist())] + [opens[:0]])
-    starts, ends = separators[tokens] + 1, separators[tokens + 1]
+    # token i lies between separators i and i + 1; array k holds tokens opens[k] to closes[k] - 1
     windows = np.ndarray((len(codes) - 15,), "V16", codes, strides=(1,))
-    words = np.ndarray((len(codes) - 7,), "<u8", codes, strides=(1,))
-    values, ok = np.empty(starts.size), np.empty(starts.size, bool)
+    values, ok = np.empty(separators.size), np.zeros(separators.size, bool)
     store = _Slots()
-    for at in range(0, starts.size, _BLOCK):
-        block = slice(at, at + _BLOCK)
-        values[block], ok[block] = _convert(windows, words, code_bytes, starts[block], ends[block], store)
-    first = np.cumsum(counts, dtype=np.intp) - counts  # each array's first token
-    good = np.flatnonzero(np.add.reduceat(~ok, first) == 0) if first.size else first
+    for at in range(0, separators.size - 1, _BLOCK):
+        block = slice(at, min(at + _BLOCK, separators.size - 1))
+        values[block], ok[block] = _convert(windows, code_bytes, separators[at:at + _BLOCK + 1], store)
+    other = np.flatnonzero(~ok[:-1])
+    array = np.searchsorted(opens, other, "right") - 1  # the array each token may lie in
+    other = other[(array >= 0) & (other < closes[array])]
+    if other.size:
+        words = np.ndarray((len(codes) - 7,), "<u8", codes, strides=(1,))
+        values[other], ok[other] = _other_values(windows, words, code_bytes, separators[other] + 1,
+                                                 separators[other + 1], store)
+    bad = np.add.reduceat(~ok, np.stack([opens, closes], 1).ravel())[::2] if opens.size else opens
     pieces, arrays, end = [], {}, 0
-    for k in good.tolist():
+    for k in np.flatnonzero(bad == 0).tolist():
         pieces += [data[end:separators[opens[k]]], b'"\\u0000%d"' % k]
-        arrays["\0%d" % k] = values[first[k]:first[k] + counts[k]]
+        arrays["\0%d" % k] = values[opens[k]:closes[k]]
         end = separators[closes[k]] + 1
     pieces.append(data[end:])
     return b"".join(pieces).decode("utf-8"), arrays

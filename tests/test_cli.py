@@ -506,7 +506,8 @@ def test_a_run_that_starts_no_process_does_not_import_multiprocessing(tmp_path):
         "import sys\n"
         "from ggm_select import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process', 'ggm_select._json_numbers'}\n"
+        "             & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           encoding="utf-8", timeout=120)
