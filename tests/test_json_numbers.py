@@ -30,6 +30,8 @@ TOKENS = st.one_of(
         "123456789012345", "-123456789012345e-22", "1.23456789012345", "0.00000000000001",  # 15 digits
         "1234567890123456", "1.234567890123456e3", "12345678901234567", "0.12345678901234567",  # 16, 17
         "1e22", "1e-22", "1e23", "1e-23", "15e21", "1.5e-21", "25e-24", "2.5E+23", "1e0022", "1e-0",
+        "2e23", "3e23", "2e-23", "-7e-23", "0.5e24",  # 10**23 is not a double: these would round twice
+        "9.999999999999999", "0.9999999999999999", "9007199254740993", "9.007199254740993e-10",  # above 2**53
         "1.", ".5", "01", "-01.5", "+1", "1e", "1e+", "-", "1.5.5", "1e5e5", "0x1", "1_0",
         "1e400", "-1e400", "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"', "[1]", "{}",
     ]),
@@ -103,6 +105,24 @@ def _assert_same_tree(cut, plain, arrays):
         assert type(cut) is type(plain) and repr(cut) == repr(plain)
 
 
+def _assert_cut_reads_as_json(text):
+    """The cut's text with its arrays in place is ``text`` as ``json`` reads it, or both are not JSON."""
+    skeleton, arrays = cut_number_arrays(text.encode())
+    try:
+        plain = json.loads(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            json.loads(skeleton)  # the cut never turns text that is not JSON into JSON
+        return
+    _assert_same_tree(json.loads(skeleton), plain, arrays)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(token=TOKENS, lead=SPACE, trail=SPACE)
+def test_a_token_is_converted_only_to_what_json_reads(token, lead, trail):
+    _assert_cut_reads_as_json(f"[{lead}{token}{trail}]")
+
+
 def _outcome(result):
     records, packed, error = result
     return records, packed.tobytes(), error and (type(error), str(error))
@@ -114,18 +134,11 @@ def test_the_array_route_reads_every_file_as_json_alone_does(tmp_path_factory, t
     path = tmp_path_factory.getbasetemp() / "drawn.json"
     path.write_text(text, encoding="utf-8", newline="")
     assert _outcome(nodes._read_file(path)) == _outcome(nodes._read_file(path, cut=False))
-    try:
-        skeleton, arrays = cut_number_arrays(text.encode())
-    except ValueError:
-        assert "\\" in text
-        return
-    try:
-        plain = json.loads(text)
-    except ValueError:
-        with pytest.raises(ValueError):
-            json.loads(skeleton)  # the cut never turns text that is not JSON into JSON
-        return
-    _assert_same_tree(json.loads(skeleton), plain, arrays)
+    if "\\" in text:
+        with pytest.raises(ValueError, match="backslash"):
+            cut_number_arrays(text.encode())
+    else:
+        _assert_cut_reads_as_json(text)
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in FIXTURE_DUMP.glob("*.json")))
@@ -158,6 +171,7 @@ def test_a_compact_dump_takes_the_array_route(tmp_path):
     ('{"a": "[1, 2]", "values": [1e-23, 1e23, 12345678901234567]}', 0),
     ('{"values": [-0, 1e22, 123456789012345, 0.1e-21]}', 1),
     ('[[1, 2]]', 1),
+    ('{"values": [01], "grads": [-01.5], "x": [00], "y": [10, 0.5, -0, 0]}', 1),  # leading zeros
     ('{[1]: 2}', 0),  # in a key's place an array stays, and json refuses it
 ])
 def test_which_arrays_the_cut_converts(text, converted):
