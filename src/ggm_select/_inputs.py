@@ -64,7 +64,8 @@ def number_array(value, booleans: bool = True) -> np.ndarray:
     ``false``.  NaN and infinities (JSON ``NaN``, ``Infinity`` or a number
     too large for a float such as ``1e400``) are refused.  Each refusal
     names the first bad element.  An ndarray is returned unchanged: only
-    the score-dump reader passes one, which this function already made.
+    the score-dump reader passes one, made by this function in its object
+    hook or by :func:`._json_numbers.cut_number_arrays`.
     """
     if isinstance(value, np.ndarray):
         return value

@@ -3,12 +3,11 @@
 :func:`cut_number_arrays` is the reverse of :mod:`._csv`: it takes the
 UTF-8 bytes of a JSON file and finds every array, outside strings, whose
 elements are all JSON numbers of at most 15 digits and a net power of ten
-within +-22.  It converts them all
-at once and returns the text with each such array replaced by the string
-``"\\u0000<k>"``, together with a dict from each such string (as
-``json.loads`` decodes it) to the float64 array it stands for.  Every other
-array (a 17-digit repr, ``NaN``, a boolean, a nested array, an empty one)
-stays in the text.
+within +-22.  It converts them all at once and returns the text with each
+such array replaced by the string ``"\\u0000<k>"``, together with a dict
+from each such string (as ``json.loads`` decodes it) to the float64 array
+it stands for.  Every other array (one holding a 17-digit repr, ``NaN``, a
+boolean or another array, or an empty one) stays in the text.
 
 A number is converted as Clinger's exact case ("How to read floating
 point numbers accurately", PLDI 1990): its digits form an integer M below
@@ -66,7 +65,7 @@ _OUTSIDE = 0xF  # the class nibble of a window byte before its token; no code ha
 
 _U = np.uint64
 _ALL = 2**64 - 1
-_VALUE, _CLASS = _U(0x0F0F0F0F0F0F0F0F), _U(0xF0F0F0F0F0F0F0F0)
+_CLASS = _U(0xF0F0F0F0F0F0F0F0)
 # A token's key holds the class nibbles of its window, byte b of the key
 # the class of window byte b (low nibble) and of byte b + 8 (high nibble);
 # _BEFORE[L] marks the window bytes before a token of length L (17: longer);
@@ -99,8 +98,9 @@ def _shape(key: int):
     word, the bytes ``stay`` hold the digits after the point (all digits
     without one) and the byte ``move`` the digit before it, which moves up
     into the point's byte; its value is the mantissa divided by ``scale``,
-    its sign times 10 to its fraction digits.  Any other token is read again from
-    the window that ends at its mantissa, which then starts at ``first``:
+    its sign times 10 to its fraction digits.  Any other token is read
+    again from the window that ends at its mantissa, which then starts at
+    ``first``:
     ``end`` is the mantissa's end in the token's own window, the exponent
     ends ``trail`` bytes before the token, a mantissa below ``least`` has a
     leading zero, and ``zero`` is added to the value: +0.0 turns the -0.0
@@ -123,8 +123,8 @@ def _shape(key: int):
     plain = end == _WIDTH and first >= 8 and len(whole) == 1 and not (integer and minus)
     move = _bytes(first, point, 1) if fraction else 0
     return dict(plain=plain, stay=_bytes(first, end, 1) & ~move & ~_bytes(point, point + 1, 1), move=move,
-                scale=scale,
-                divisor=10 ** len(fraction) if fraction else 10**16, first=first + _WIDTH - end, end=end,
+                scale=scale, divisor=10 ** len(fraction) if fraction else 10**16,
+                first=first + _WIDTH - end, end=end,
                 digits=len(fraction), exp_sign=-1 if exp_sign == "-" else 1, exp_digits=len(exponent),
                 trail=len(trail), least=10 ** (digits - 1) if len(whole) > 1 else 0, zero=0.0 if integer else -0.0)
 
@@ -194,7 +194,7 @@ def _keys(windows, codes, starts, ends):
 
     A key holds the class nibbles of its token's window with the bytes
     before the token marked.  A token longer than its window has its
-    leading whitespace stepped over; ``starts`` is a new array.
+    leading whitespace stepped over, in ``starts``.
     """
     lengths = ends - starts
     long = np.flatnonzero(lengths > _WIDTH)
@@ -254,7 +254,8 @@ def _other_values(windows, words, codes, starts, ends, store: _Slots):
     power = exp_sign * exponent - digits
     ok = (np.abs(power) <= _MAX_POWER) & (mantissa >= least.astype(_U)) & (store.other[slots] == keys)
     power = np.clip(power, -_MAX_POWER, _MAX_POWER)
-    values = mantissa.astype(float) * _POW10[np.maximum(power, 0)] / (np.sign(scale) * _POW10[np.maximum(-power, 0)])
+    values = mantissa.astype(float) * _POW10[np.maximum(power, 0)]
+    values /= np.sign(scale) * _POW10[np.maximum(-power, 0)]
     return values + zero, ok
 
 

@@ -463,11 +463,9 @@ def _decode_vectors(obj: dict, booleans: bool = True, arrays: dict = None) -> di
     """JSON object hook: ``values``/``grads`` as float arrays as soon as an object is decoded.
 
     Converting per object keeps only one record's float lists alive at a
-    time instead of the whole file's.  A string that ``arrays`` maps (see
-    :func:`._json_numbers.cut_number_arrays`) is its array.  ``booleans`` is
-    passed to :func:`number_array`.  A value that it refuses stays as
-    decoded, so :func:`_parse_record` raises the error it raises without
-    the hook.
+    time instead of the whole file's; a string ``arrays`` maps is its array.
+    ``booleans`` is passed to :func:`number_array`.  A value that it refuses
+    stays as decoded, so :func:`_parse_record` raises its error as before.
     """
     for key in ("values", "grads"):
         if key in obj:
@@ -504,17 +502,16 @@ def _parse_record(record, where: str):
     return read["step"], key, values, grads
 
 
-# Helpers parse a dump only if each gets at least this many bytes.  One
-# process parses dump JSON at about 40 MB/s, and two helpers on two CPUs
-# each parse about 20 % slower than one process alone.  A spawn helper takes
-# about 0.5 s to start (an interpreter importing NumPy and this package): on
-# a 2-vCPU x86_64 box two spawn helpers broke even with the serial read at
-# 40-50 MB (medians of 7 alternations): 1.07 s against 1.00 s at 39 MB,
-# 1.15 s against 1.25 s at 52 MB, 1.32 s against 1.55 s at 65 MB.  A fork
-# helper starts at once, and on Linux two of them already win at 13 MB:
-# 0.23-0.26 s against 0.24-0.30 s at 13 MB, 0.42 s against 0.60-0.66 s at
-# 26 MB (two sets of 7 alternations on the same box).  The constant waits
-# for a benchmark workload with a dump this small (ROADMAP item 3).  More
+# Helpers parse a dump only if each gets at least this many bytes.  With
+# its number arrays read in array code (_read_file), one process reads a
+# 39 MB dump-l12-shaped dump in about 0.5 s.  On a 2-vCPU x86_64 box (fresh
+# process per read, medians of 7 alternations), two fork helpers against the
+# serial read: 0.19 s against 0.24 s at 13 MB, 0.34 s against 0.43 s at
+# 26 MB, 0.39 s against 0.51 s at 39 MB.  Two spawn helpers (each starts an
+# interpreter importing NumPy and this package) lost at 39 MB: 0.78 s against
+# 0.47 s (medians of 5).  So fork helpers win from 13 MB and spawn helpers
+# not even at 39 MB; one constant serves both, and it stays at the spawn
+# break-even measured with the slower JSON route (40-50 MB for two).  More
 # than two helpers (one per CPU on a larger machine) have not been measured.
 _HELPER_MIN_BYTES = 24_000_000
 
@@ -528,16 +525,14 @@ def _read_file(path: Path, cut: bool = True):
     returned, not raised, after the records parsed before it, so the caller
     checks those first and then raises it, as a record-by-record read would.
     Runs in a helper process for large dumps, so its result is small and
-    picklable.  With ``cut``, the file's number arrays are converted by
-    :func:`._json_numbers.cut_number_arrays` and ``json`` parses the rest;
-    a file that this cannot read, or any failure, is read again from the
-    start by ``json`` alone, whose refusals every caller gets.
+    picklable.  With ``cut``, :mod:`._json_numbers` converts the number
+    arrays and ``json`` parses the rest; on any failure the file is read
+    again by ``json`` alone, whose refusals every caller gets.
     """
     records, arrays, error = [], [], None
     try:
         if cut:
             from ._json_numbers import cut_number_arrays  # only a dump read loads it
-
             text, numbers = cut_number_arrays(path.read_bytes())
             payload = json.loads(text, object_hook=functools.partial(
                 _decode_vectors, booleans=_spells_a_boolean(text), arrays=numbers))
