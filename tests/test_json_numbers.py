@@ -117,7 +117,7 @@ def _assert_cut_reads_as_json(text):
     _assert_same_tree(json.loads(skeleton), plain, arrays)
 
 
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(token=TOKENS, lead=SPACE, trail=SPACE)
 def test_a_token_is_converted_only_to_what_json_reads(token, lead, trail):
     _assert_cut_reads_as_json(f"[{lead}{token}{trail}]")
@@ -128,7 +128,7 @@ def _outcome(result):
     return records, packed.tobytes(), error and (type(error), str(error))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(text=dump_texts())
 def test_the_array_route_reads_every_file_as_json_alone_does(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "drawn.json"
