@@ -35,6 +35,8 @@ import numpy as np
 
 def integer(value) -> int:
     """A JSON integer as is: a float or a boolean is refused, not truncated."""
+    if type(value) is int:  # what json gives; skips the slower abstract-class check
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"must be an integer, got {value!r}")
     return int(value)

@@ -41,6 +41,7 @@ lands on a hash slot another shape holds, makes its array stay in the text.
 from __future__ import annotations
 
 import re
+import threading
 
 import numpy as np
 
@@ -185,6 +186,18 @@ class _Slots:
         return [column[ids] for column in self.columns]
 
 
+# one table per thread, kept across the files a thread reads: a table is
+# 3.5 MB to allocate, and a dump's files share their shapes
+_LOCAL = threading.local()
+
+
+def _slots() -> _Slots:
+    """This thread's shape table."""
+    if not hasattr(_LOCAL, "slots"):
+        _LOCAL.slots = _Slots()
+    return _LOCAL.slots
+
+
 _FROM = np.array([[_bytes(p, _WIDTH, word) for word in range(2)] for p in range(_WIDTH + 1)], dtype=_U)
 _TOP = np.array([_bytes(_WIDTH - n, _WIDTH, 1) for n in range(9)], dtype=_U)
 
@@ -302,7 +315,7 @@ def cut_number_arrays(data: bytes):
     # token i lies between separators i and i + 1; array k holds tokens opens[k] to closes[k] - 1
     windows = np.ndarray((len(codes) - 15,), "V16", codes, strides=(1,))
     values, ok = np.empty(separators.size), np.zeros(separators.size, bool)
-    store = _Slots()
+    store = _slots()
     for at in range(0, separators.size - 1, _BLOCK):
         block = slice(at, min(at + _BLOCK, separators.size - 1))
         values[block], ok[block] = _convert(windows, code_bytes, separators[at:at + _BLOCK + 1], store)

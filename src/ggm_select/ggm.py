@@ -25,10 +25,10 @@ is maximized by alternating exact block updates:
   group norm, with weight tau/(2*lam); all group norms are thresholded in
   one batched call.
 
-The group structure is defined once, as the set of penalized columns plus a
-boolean mask of their group entries.  Group norms, the objective's group
-term and the Delta block all read it as array code, with no loop over
-columns.
+The group structure is built once per problem, as the set of penalized
+columns plus a boolean mask of their group entries.  Group norms, the
+objective's group term and the Delta block all read it as array code,
+with no loop over columns.
 
 Both block updates maximize their block exactly (or to inner tolerance), so
 the penalized objective is nondecreasing across a sweep and Omega iterates
@@ -116,6 +116,8 @@ class GgmProblem:
     ``important_set`` holds 0-based column indices; it is canonicalized to a
     sorted tuple.  ``important_rows`` mode requires at least one important
     index; ``full_offdiag`` mode ignores the set for penalization purposes.
+    ``columns`` and ``mask`` are the group structure (see
+    :func:`_group_structure`), built once and read-only.
     """
 
     sigma_hat: np.ndarray
@@ -124,6 +126,8 @@ class GgmProblem:
     lam: float
     g: SurrogateSpec
     mode: GgmMode = GgmMode.IMPORTANT_ROWS
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = _square_finite(self.sigma_hat, "covariance")
@@ -148,6 +152,9 @@ class GgmProblem:
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         _check_lam(self.lam)
+        for name, array in zip(("columns", "mask"), _group_structure(n, idx, self.mode)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -180,6 +187,12 @@ class PrecisionMatrix:
     A caller that knows log det(Omega) passes it as ``logdet`` (the eigen
     route passes the sum of the logs of its eigenvalues), and
     :func:`penalized_objective` uses it instead of ``slogdet``.
+
+    One construction skips the finiteness and symmetry checks:
+    :func:`update_precision_eig` builds its closed form through
+    ``_closed_form``, because it symmetrizes that array itself from
+    finite eigenpairs.  It still proves positive definiteness by Cholesky
+    and checks ``min_eig``.
     """
 
     omega: np.ndarray
@@ -191,16 +204,28 @@ class PrecisionMatrix:
         asym = float(np.max(np.abs(om - om.T)))
         if asym > 1e-8:
             raise ValueError(f"precision matrix not symmetric (max asymmetry {asym:.3e})")
+        self._certify(om, self.min_eig)
+
+    def _certify(self, om: np.ndarray, min_eig) -> None:
+        """Prove ``om`` positive definite, check ``min_eig`` and store both, ``om`` read-only."""
         try:
             np.linalg.cholesky(om)
         except np.linalg.LinAlgError:
             raise ValueError("precision matrix is not positive definite") from None
-        min_eig = float(np.linalg.eigvalsh(om)[0]) if self.min_eig is None else self.min_eig
+        min_eig = float(np.linalg.eigvalsh(om)[0]) if min_eig is None else min_eig
         if not (math.isfinite(min_eig) and min_eig > 0.0):
             raise ValueError(f"precision matrix min_eig must be finite and > 0, got {min_eig}")
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "min_eig", float(min_eig))
+
+    @classmethod
+    def _closed_form(cls, omega: np.ndarray, min_eig: float, logdet: float) -> "PrecisionMatrix":
+        """The matrix of a finite, exactly symmetric float array, not re-checked for either."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "logdet", logdet)
+        matrix._certify(omega, min_eig)
+        return matrix
 
     @property
     def n(self) -> int:
@@ -296,7 +321,7 @@ class SolverReport:
         }
 
 
-def _group_structure(problem: GgmProblem) -> tuple:
+def _group_structure(n: int, important_set: tuple, mode: GgmMode) -> tuple:
     """The penalized columns and the boolean mask of their group entries.
 
     ``mask[r, c]`` is True when entry (r, c) belongs to the penalized group of
@@ -304,10 +329,9 @@ def _group_structure(problem: GgmProblem) -> tuple:
     ``important_rows`` mode, the off-diagonal in ``full_offdiag`` mode.  A
     penalized column may have an empty group (n = 1 in ``full_offdiag``).
     """
-    n = problem.n
     columns = np.ones(n, dtype=bool)
-    if problem.mode is GgmMode.IMPORTANT_ROWS:
-        important = list(problem.important_set)
+    if mode is GgmMode.IMPORTANT_ROWS:
+        important = list(important_set)
         columns[important] = False
         mask = np.zeros((n, n), dtype=bool)
         mask[important] = columns
@@ -322,7 +346,7 @@ def _masked_column_norms(mat: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def compute_group_norms(omega, problem: GgmProblem) -> np.ndarray:
     """Per-column penalized group norms of a matrix (0.0 at unpenalized columns)."""
-    return _masked_column_norms(_as_array(omega), _group_structure(problem)[1])
+    return _masked_column_norms(_as_array(omega), problem.mask)
 
 
 def penalized_objective(omega, delta, problem: GgmProblem) -> float:
@@ -342,8 +366,7 @@ def penalized_objective(omega, delta, problem: GgmProblem) -> float:
     value = logdet - float(np.sum(problem.sigma_hat * om))
     value -= problem.lam * float(np.sum((om - de) ** 2))
     if problem.tau > 0.0:
-        columns, mask = _group_structure(problem)
-        norms = _masked_column_norms(de, mask)[columns]
+        norms = _masked_column_norms(de, problem.mask)[problem.columns]
         value -= problem.tau * float(np.sum(eval_g(problem.g, norms)))
     return value
 
@@ -375,15 +398,19 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     w = (-a + sqrt(a**2 + 2/lam)) / 2 per eigenvalue, so the solution is
     strictly positive definite by construction.  The least w is the result's
     ``min_eig`` and the sum of log w its ``logdet``; the returned matrix still
-    proves positive definiteness with its own Cholesky factorization.
+    proves positive definiteness with its own Cholesky factorization.  With
+    finite eigenvalues (``eigh`` saw a finite matrix), it is built by the
+    one construction that skips the finiteness and symmetry checks.
     """
     _check_lam(lam)
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     a, q = np.linalg.eigh(a_s)
     w = 0.5 * (-a + np.sqrt(a**2 + 2.0 / lam))
     omega = (q * w) @ q.T
-    return PrecisionMatrix(0.5 * (omega + omega.T), min_eig=float(w.min()),
-                           logdet=float(np.sum(np.log(w))))
+    omega = 0.5 * (omega + omega.T)
+    min_eig, logdet = float(w.min()), float(np.sum(np.log(w)))
+    build = PrecisionMatrix._closed_form if math.isfinite(logdet) else PrecisionMatrix
+    return build(omega, min_eig, logdet)
 
 
 def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: float = 1e-8,
@@ -468,13 +495,12 @@ def update_auxiliary(omega, problem: GgmProblem) -> AuxMatrix:
     om = _as_array(omega)
     if problem.tau == 0.0:
         return AuxMatrix(om.copy())
-    columns, mask = _group_structure(problem)
-    norms = _masked_column_norms(om, mask)[columns]
+    norms = _masked_column_norms(om, problem.mask)[problem.columns]
     weight = problem.tau / (2.0 * problem.lam)
     alpha = solve_threshold_batch(norms, weight, problem.g).x_star
     scale = np.ones(problem.n)
-    scale[columns] = np.divide(alpha, norms, out=np.ones_like(norms), where=norms > 0.0)
-    return AuxMatrix(np.where(mask, om * scale, om))
+    scale[problem.columns] = np.divide(alpha, norms, out=np.ones_like(norms), where=norms > 0.0)
+    return AuxMatrix(np.where(problem.mask, om * scale, om))
 
 
 class _Mixing:

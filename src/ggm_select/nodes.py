@@ -15,8 +15,8 @@ Collecting node values across steps gives the sample matrix whose mean picks
 the important set and whose covariance feeds the graphical model.
 
 All operations are pure; importance state is threaded functionally (one
-state per layer and tensor kind: a layer's A, B and bias tensors are stacked
-row by row).  Step dumps on disk are directories of JSON records
+state per tensor kind and length: every such tensor of every layer is
+stacked row by row).  Step dumps on disk are directories of JSON records
 {step, layer_id, tensor: "A"|"B"|"b", index, values, grads}; component
 indices are 0-based throughout.
 """
@@ -395,51 +395,64 @@ def replay_scores(steps, beta1: float, beta2: float) -> SampleSet:
     :func:`sensitivity` array |values * grads|, as :func:`read_score_dump`
     gives.  Every step must cover exactly the same tensor set, and all
     tensors of one kind in a layer share the length they have at step 0.
-    Each step stacks a layer's A tensors, its B tensors and its bias,
-    one kind at a time, and advances that (layer, kind) state with one
-    :func:`update_score` call.  Returns the node-value sample matrix, one
-    row per step, columns in layout order (layers ascending, pairs then bias).
+    Each step stacks every tensor of one kind and length, layer by layer,
+    and advances that (kind, length) state with one :func:`update_score`
+    call; a layer's node values come from its rows of those stacks.
+    Returns the node-value sample matrix, one row per step, columns in
+    layout order (layers ascending, pairs then bias).
     """
     if not steps:
         raise ValueError("score stream is empty")
     layers = _layout_from_keys(steps[0].keys())
-    states = {
-        (layer_id, kind): ImportanceState.zeros(
-            (len(keys), np.size(steps[0][keys[0]])), beta1, beta2)
-        for layer_id, groups in layers
-        for kind, keys in groups.items()
-    }
+    stacks = {}  # (kind, length) -> its keys, layer by layer
+    rows = {}  # (layer_id, kind) -> ((kind, length), the layer's rows of that stack)
+    for layer_id, groups in layers:
+        for kind, keys in groups.items():
+            stack = kind, np.size(steps[0][keys[0]])
+            start = len(stacks.setdefault(stack, []))
+            stacks[stack] += keys
+            rows[layer_id, kind] = stack, slice(start, start + len(keys))
+    states = {stack: ImportanceState.zeros((len(keys), stack[1]), beta1, beta2)
+              for stack, keys in stacks.items()}
     layout = NodeLayout(tuple(
-        LayerShape(layer_id, states[layer_id, PAIR_A].mean.shape[1],
-                   states[layer_id, PAIR_B].mean.shape[1], len(groups[PAIR_A]))
+        LayerShape(layer_id, rows[layer_id, PAIR_A][0][1], rows[layer_id, PAIR_B][0][1], len(groups[PAIR_A]))
         for layer_id, groups in layers
     ))
 
-    rows = np.empty((len(steps), layout.n))
+    samples = np.empty((len(steps), layout.n))
     for step_no, step in enumerate(steps):
         if step.keys() != steps[0].keys():
             raise ValueError(f"step {step_no}: tensor set differs from step 0")
+        scores = {}
+        for stack, keys in stacks.items():
+            try:
+                sens = np.stack([step[key] for key in keys])
+            except ValueError:
+                sens = None
+            if sens is None or sens.shape != states[stack].mean.shape:
+                _refuse_lengths(step_no, step, layers, rows)
+            states[stack], scores[stack] = update_score(states[stack], sens)
         column = 0
         for layer_id, groups in layers:
-            scores = {}
-            for kind, keys in groups.items():
-                state = states[layer_id, kind]
-                try:
-                    sens = np.stack([step[key] for key in keys])
-                except ValueError:
-                    sens = None
-                if sens is None or sens.shape != state.mean.shape:
-                    raise ValueError(
-                        f"step {step_no}: layer {layer_id}: every {kind} tensor must have length "
-                        f"{state.mean.shape[1]}, that of the first {kind} tensor at step 0"
-                    )
-                states[layer_id, kind], scores[kind] = update_score(state, sens)
+            (a, a_rows), (b, b_rows), (bias, bias_row) = (rows[layer_id, kind] for kind in groups)
             r = len(groups[PAIR_A])
-            rows[step_no, column:column + r] = node_value_pair(scores[PAIR_A], scores[PAIR_B])
-            rows[step_no, column + r] = node_value_bias(scores[BIAS][0])
+            samples[step_no, column:column + r] = node_value_pair(scores[a][a_rows], scores[b][b_rows])
+            samples[step_no, column + r] = node_value_bias(scores[bias][bias_row.start])
             column += r + 1
 
-    return SampleSet(values=rows, names=layout.node_names(), layout=layout)
+    return SampleSet(values=samples, names=layout.node_names(), layout=layout)
+
+
+def _refuse_lengths(step_no: int, step: dict, layers: list, rows: dict):
+    """Raise for the first layer and kind, in layout order, with a tensor of the wrong length."""
+    for layer_id, groups in layers:
+        for kind, keys in groups.items():
+            length = rows[layer_id, kind][0][1]
+            if any(np.shape(step[key]) != (length,) for key in keys):
+                raise ValueError(
+                    f"step {step_no}: layer {layer_id}: every {kind} tensor must have length "
+                    f"{length}, that of the first {kind} tensor at step 0"
+                )
 
 
 def _spells_a_boolean(text: str) -> bool:
@@ -487,6 +500,7 @@ _RECORD_READERS = {
 
 
 def _parse_record(record, where: str):
+    """``(step, key, sensitivity(values, grads))`` of one dump record, refusing an overflowing product."""
     read = read_object(record, where, _RECORD_READERS, closed=False,
                        required=("step", "layer_id", "tensor", "values", "grads"))
     try:
@@ -497,9 +511,10 @@ def _parse_record(record, where: str):
     if values.shape != grads.shape:
         raise ValueError(f"{where}: values/grads must be equal-length 1-D arrays")
     with np.errstate(over="ignore"):
-        if not np.isfinite(values * grads).all():
-            raise ValueError(f"{where}: |values * grads| overflows a float")
-    return read["step"], key, values, grads
+        sens = sensitivity(values, grads)
+    if not np.isfinite(sens).all():
+        raise ValueError(f"{where}: |values * grads| overflows a float")
+    return read["step"], key, sens
 
 
 # Helpers parse a dump only if each gets at least this many bytes.  With
@@ -540,9 +555,9 @@ def _read_file(path: Path, cut: bool = True):
             payload = json_file(path, lambda text: functools.partial(
                 _decode_vectors, booleans=_spells_a_boolean(text)))
         for pos, record in enumerate(payload if isinstance(payload, list) else [payload]):
-            step, key, values, grads = _parse_record(record, f"{path}: record {pos}")
-            records.append((step, key, values.size))
-            arrays.append(sensitivity(values, grads))
+            step, key, sens = _parse_record(record, f"{path}: record {pos}")
+            records.append((step, key, sens.size))
+            arrays.append(sens)
     except Exception as exc:  # any failure of the read; the caller raises it in file order
         if cut:
             return _read_file(path, cut=False)

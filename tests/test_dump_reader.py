@@ -76,8 +76,8 @@ def _plain_pairs(dump):
     by_step = {}
     for file in sorted(dump.glob("*.json")):
         for pos, record in enumerate(json.loads(file.read_text())):
-            step, key, values, grads = _parse_record(record, f"{file.name}: record {pos}")
-            by_step.setdefault(step, {})[key] = (values, grads)
+            step, key, _ = _parse_record(record, f"{file.name}: record {pos}")
+            by_step.setdefault(step, {})[key] = tuple(number_array(record[part]) for part in ("values", "grads"))
     return [by_step[step] for step in sorted(by_step)]
 
 
@@ -155,6 +155,34 @@ def test_a_caller_with_a_second_thread_spawns_its_helpers(helpers, tmp_path):
     assert helpers.start_methods == ["spawn"]
     assert multiprocessing.active_children() == []
     _assert_same_steps(got, _serial(dump))
+
+
+def test_threads_reading_at_once_each_get_the_serial_arrays(tmp_path):
+    # each thread keeps its own shape table for the array route
+    from ggm_select import _json_numbers
+
+    dumps = [FIXTURE_DUMP, _seeded_dump(tmp_path / "dump")]
+    want = [_serial(dump) for dump in dumps]
+    start = threading.Barrier(len(dumps))
+    got, tables = [[] for _ in dumps], [[] for _ in dumps]
+
+    def read(k):
+        start.wait()
+        for _ in range(10):
+            got[k].append(read_score_dump(dumps[k]))
+            tables[k].append(_json_numbers._slots())
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(len(dumps))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(dumps)):
+        assert len(got[k]) == 10 and all(table is tables[k][0] for table in tables[k])
+        for steps in got[k]:
+            _assert_same_steps(steps, want[k])
+    assert tables[0][0] is not tables[1][0]
 
 
 _UNGUARDED_SCRIPT = """

@@ -483,6 +483,64 @@ def test_eigen_update_min_eig_is_the_closed_form_least_eigenvalue():
         assert abs(precision.min_eig - w[0]) <= 1e-12 * np.max(np.abs(w))
 
 
+def test_eigen_update_is_read_only_and_equals_the_checked_construction():
+    rng = np.random.default_rng(46)
+    for n, lam in ((1, 1.0), (7, 0.05), (40, 3.0)):
+        sigma = _wishart(rng, n)
+        delta = rng.standard_normal((n, n))
+        precision = update_precision_eig(sigma, delta, lam)
+        assert not precision.omega.flags.writeable
+        np.testing.assert_array_equal(precision.omega, precision.omega.T)
+        a = sigma / (2.0 * lam) - delta
+        w = np.linalg.eigh(0.5 * (a + a.T))[0]
+        w = 0.5 * (-w + np.sqrt(w**2 + 2.0 / lam))
+        checked = PrecisionMatrix(precision.omega.copy(), min_eig=float(w.min()),
+                                  logdet=float(np.sum(np.log(w))))
+        assert (precision.min_eig, precision.logdet) == (checked.min_eig, checked.logdet)
+
+
+def test_eigen_update_of_non_finite_input_is_refused_as_before():
+    with pytest.raises(ValueError, match="non-finite"):
+        update_precision_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros((2, 2)), 1.0)
+
+
+@pytest.mark.parametrize("mode", list(GgmMode))
+def test_eigen_route_makes_one_cholesky_per_precision_matrix(monkeypatch, mode):
+    problem = _problem(np.random.default_rng(47), 15, mode=mode, tau=0.5)
+    events = []  # "c" per Cholesky factorization, "(" and ")" around each closed form
+
+    def traced(owner, name, before, after=""):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(before)
+            result = original(*args, **kwargs)
+            events.append(after)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    traced(np.linalg, "cholesky", "c")
+    traced(ggm, "update_precision_eig", "(", ")")
+    report = solve_ggm(problem, SolverOptions(T=40))
+    closed_forms = events.count("(")
+    assert closed_forms >= report.iterations
+    # the diagonal start, then each closed form's own
+    assert "".join(events) == "c" + "(c)" * closed_forms
+
+
+def test_problem_group_structure_is_built_once_and_read_only():
+    problem = _problem(np.random.default_rng(48), 6, h=2)
+    assert not problem.mask.flags.writeable and not problem.columns.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        problem.mask[0, 0] = True
+    important = list(problem.important_set)
+    assert not problem.columns[important].any() and problem.columns.sum() == 4
+    np.testing.assert_array_equal(problem.mask.any(axis=1), np.isin(np.arange(6), important))
+    full = GgmProblem(problem.sigma_hat, (), 0.4, 1.0, SurrogateSpec.geman(0.5), mode=GgmMode.FULL_OFFDIAG)
+    np.testing.assert_array_equal(full.mask, ~np.eye(6, dtype=bool))
+
+
 @pytest.mark.parametrize("mode", list(GgmMode))
 def test_eigen_route_solve_calls_no_eigvalsh(monkeypatch, mode):
     problem = _problem(np.random.default_rng(45), 12, mode=mode, tau=0.5)

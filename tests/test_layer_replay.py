@@ -1,9 +1,10 @@
-"""Per-layer score replay against the per-tensor recursion it replaced.
+"""Stacked score replay against the per-tensor recursion it replaced.
 
-``replay_scores`` keeps one EMA state per (layer, tensor kind) and stacks a
-layer's tensors row by row.  Every operation is elementwise or a mean over
-one row, so its samples must equal those of one state per tensor bit for
-bit, also past NumPy's 128-element pairwise-summation block.
+``replay_scores`` keeps one EMA state per (tensor kind, length) and stacks
+every tensor of that kind and length row by row, layer by layer.  Every
+operation is elementwise or a mean over one row, so its samples must equal
+those of one state per tensor bit for bit, also past NumPy's 128-element
+pairwise-summation block.
 """
 
 import numpy as np
@@ -21,6 +22,9 @@ from ggm_select.nodes import (
 
 # (layer_id, d1, d2, r): r in {1, 3}, d1 != d2, every length >= 300
 LAYERS = [(0, 300, 417, 3), (3, 513, 301, 1), (7, 350, 300, 3)]
+# layers 0 and 5 share d1 and d2 and so their stacks, with layer 2 between
+# them; layer 2's B length is their A length, which a B tensor never joins
+SHARED = [(0, 300, 417, 3), (2, 513, 300, 3), (5, 300, 417, 1)]
 BETAS = [(0.85, 0.85), (0.5, 0.9), (0.0, 0.3), (0.99, 0.0)]
 
 
@@ -72,7 +76,23 @@ def test_layer_replay_equals_per_tensor_loop_bit_for_bit(seed, beta1, beta2):
     assert np.array_equal(samples.values, expected)
 
 
-def test_layer_replay_makes_one_update_per_layer_and_kind(monkeypatch):
+@pytest.mark.parametrize("beta1,beta2", BETAS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_layers_sharing_lengths_replay_as_the_per_tensor_loop_bit_for_bit(seed, beta1, beta2):
+    steps = _stream(seed, layers=SHARED)
+    samples = replay_scores(steps, beta1, beta2)
+    expected = _per_tensor_replay(steps, beta1, beta2)
+    assert samples.values.shape == expected.shape == (6, sum(r + 1 for *_, r in SHARED))
+    assert np.array_equal(samples.values, expected)
+    assert [(s.layer_id, s.d1, s.d2, s.r) for s in samples.layout.layers] == SHARED
+
+
+@pytest.mark.parametrize("layers, per_step", [
+    # one stack per (kind, length), in the order their first layers reach them
+    (LAYERS, [(3, 300), (3, 417), (1, 300), (1, 513), (1, 301), (1, 513), (3, 350), (3, 300), (1, 350)]),
+    (SHARED, [(4, 300), (4, 417), (2, 300), (3, 513), (3, 300), (1, 513)]),
+], ids=["own_lengths", "shared_lengths"])
+def test_layer_replay_makes_one_update_per_kind_and_length(monkeypatch, layers, per_step):
     calls = []
 
     def counted(state, sens):
@@ -80,8 +100,7 @@ def test_layer_replay_makes_one_update_per_layer_and_kind(monkeypatch):
         return update_score(state, sens)
 
     monkeypatch.setattr(nodes, "update_score", counted)
-    replay_scores(_stream(2, steps=5), 0.85, 0.85)
-    per_step = [shape for _, d1, d2, r in LAYERS for shape in ((r, d1), (r, d2), (1, d1))]
+    replay_scores(_stream(2, steps=5, layers=layers), 0.85, 0.85)
     assert calls == per_step * 5
 
 
@@ -103,6 +122,15 @@ def test_later_step_with_wrong_length_names_step_layer_and_kind(kind):
     key = TensorKey(3, kind, None if kind == "b" else 0)
     steps[3][key] = steps[3][key][:-1]
     with pytest.raises(ValueError, match=rf"step 3: layer 3: every {kind} tensor"):
+        replay_scores(steps, 0.85, 0.85)
+
+
+@pytest.mark.parametrize("layer_id, kind", [(0, "A"), (5, "B"), (5, "b"), (2, "B")])
+def test_wrong_length_in_a_shared_stack_names_its_layer(layer_id, kind):
+    steps = _stream(5, steps=4, layers=SHARED)
+    key = TensorKey(layer_id, kind, None if kind == "b" else 0)
+    steps[2][key] = steps[2][key][:-1]
+    with pytest.raises(ValueError, match=rf"step 2: layer {layer_id}: every {kind} tensor"):
         replay_scores(steps, 0.85, 0.85)
 
 
