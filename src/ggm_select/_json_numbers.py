@@ -187,15 +187,19 @@ class _Slots:
 
 
 # one table per thread, kept across the files a thread reads: a table is
-# 3.5 MB to allocate, and a dump's files share their shapes
+# 3.5 MB to allocate, and a dump's files share their shapes (about 40 for
+# the benchmark dump); keys and strings add shapes too, so a table that has
+# learned more than _MAX_SHAPES is replaced rather than kept growing
 _LOCAL = threading.local()
+_MAX_SHAPES = 1 << 12
 
 
 def _slots() -> _Slots:
     """This thread's shape table."""
-    if not hasattr(_LOCAL, "slots"):
-        _LOCAL.slots = _Slots()
-    return _LOCAL.slots
+    slots = getattr(_LOCAL, "slots", None)
+    if slots is None or len(slots.shapes) > _MAX_SHAPES:
+        slots = _LOCAL.slots = _Slots()
+    return slots
 
 
 _FROM = np.array([[_bytes(p, _WIDTH, word) for word in range(2)] for p in range(_WIDTH + 1)], dtype=_U)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggm_select import nodes
+from ggm_select import _json_numbers, nodes
 from ggm_select._json_numbers import cut_number_arrays
 
 FIXTURE_DUMP = Path(__file__).parent / "fixtures" / "score_dump"
@@ -176,6 +176,21 @@ def test_a_compact_dump_takes_the_array_route(tmp_path):
 ])
 def test_which_arrays_the_cut_converts(text, converted):
     assert len(cut_number_arrays(text.encode())[1]) == converted
+
+
+def test_a_thread_keeps_its_shape_table_until_it_holds_too_many_shapes(monkeypatch):
+    data = b'{"values": [1.5, -2, 3e-05], "note": "ab1 c.d", "grads": [0.25, 7, 1E+2]}'
+    first = cut_number_arrays(data)
+    table = _json_numbers._slots()
+    assert len(table.shapes) > 2
+
+    def same(result):
+        return result[0] == first[0] and {k: _bits(v) for k, v in result[1].items()} == {
+            k: _bits(v) for k, v in first[1].items()}
+
+    assert same(cut_number_arrays(data)) and _json_numbers._slots() is table
+    monkeypatch.setattr(_json_numbers, "_MAX_SHAPES", len(table.shapes) - 1)
+    assert same(cut_number_arrays(data)) and _json_numbers._slots() is not table
 
 
 def test_a_backslash_sends_the_file_to_the_json_route():
