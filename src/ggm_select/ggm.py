@@ -84,8 +84,8 @@ __all__ = [
     "load_covariance",
 ]
 
-SYMMETRY_TOL = 1e-10
-PSD_TOL = 1e-10
+# c in the c*n*eps*||A|| rounding bound of the symmetry and definiteness checks
+ROUNDING_FACTOR = 1000.0
 DIAG_JITTER = 1e-8
 # residual differences kept by the Anderson mixing of solve_ggm's sweeps
 ANDERSON_DEPTH = 4
@@ -116,6 +116,9 @@ class GgmProblem:
     ``important_set`` holds 0-based column indices; it is canonicalized to a
     sorted tuple.  ``important_rows`` mode requires at least one important
     index; ``full_offdiag`` mode ignores the set for penalization purposes.
+    ``sigma_hat`` must be symmetric and positive semidefinite up to
+    :func:`_rounding_bound` at its largest absolute eigenvalue, so the same
+    matrix is accepted or refused at every scale.
     ``columns`` and ``mask`` are the group structure (see
     :func:`_group_structure`), built once and read-only.
     """
@@ -131,11 +134,14 @@ class GgmProblem:
 
     def __post_init__(self):
         sigma = _square_finite(self.sigma_hat, "covariance")
-        asym = float(np.max(np.abs(sigma - sigma.T))) if sigma.size else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
-        if sigma.size and float(np.linalg.eigvalsh(sigma)[0]) < -PSD_TOL:
-            raise ValueError("covariance is not positive semidefinite")
+        if sigma.size:
+            eigs = np.linalg.eigvalsh(sigma)
+            bound = _rounding_bound(sigma.shape[0], max(-eigs[0], eigs[-1]))
+            asym = float(np.max(np.abs(sigma - sigma.T)))
+            if asym > bound:
+                raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
+            if eigs[0] < -bound:
+                raise ValueError("covariance is not positive semidefinite")
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma_hat", sigma)
 
@@ -166,6 +172,18 @@ def _check_lam(lam) -> None:
         raise ValueError(f"lam must be finite and > 0, got {lam}")
 
 
+def _rounding_bound(n: int, norm: float) -> float:
+    """c*n*eps*norm: what rounding alone can leave of asymmetry or negative eigenvalues.
+
+    This is the backward-error bound of a symmetric eigensolver (Golub & Van
+    Loan, "Matrix Computations", ch. 8) with c = ``ROUNDING_FACTOR``, for an
+    n x n matrix whose 2-norm is at most ``norm``.  It scales with the
+    matrix, so the checks that use it accept and refuse the same matrices at
+    every scale.
+    """
+    return ROUNDING_FACTOR * n * np.finfo(float).eps * float(norm)
+
+
 def _square_finite(mat, what: str) -> np.ndarray:
     """``mat`` as a float array; ``what`` names it in the refusal of a non-square or non-finite one."""
     mat = np.asarray(mat, dtype=float)
@@ -179,6 +197,9 @@ def _square_finite(mat, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """A symmetric, strictly positive definite matrix and its smallest eigenvalue.
+
+    Symmetric means asymmetric by at most :func:`_rounding_bound` at
+    ||Omega||_F.
 
     Positive definiteness is proved by one Cholesky factorization.  A caller
     that already knows the smallest eigenvalue passes it as ``min_eig`` (the
@@ -202,7 +223,8 @@ class PrecisionMatrix:
     def __post_init__(self):
         om = _square_finite(self.omega, "precision matrix")
         asym = float(np.max(np.abs(om - om.T)))
-        if asym > 1e-8:
+        # ||Omega||_F bounds the 2-norm without a decomposition
+        if asym > _rounding_bound(om.shape[0], np.linalg.norm(om)):
             raise ValueError(f"precision matrix not symmetric (max asymmetry {asym:.3e})")
         self._certify(om, self.min_eig)
 
@@ -396,16 +418,26 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     With A_s = Q diag(a) Q^T, the stationarity condition
     1/(2*lam*w) - a - w = 0 has the unique positive root
     w = (-a + sqrt(a**2 + 2/lam)) / 2 per eigenvalue, so the solution is
-    strictly positive definite by construction.  The least w is the result's
-    ``min_eig`` and the sum of log w its ``logdet``; the returned matrix still
-    proves positive definiteness with its own Cholesky factorization.  With
+    strictly positive definite by construction; where -a + sqrt(...) would
+    cancel, w is taken in the equivalent form (1/lam) / (a + sqrt(...)).  The
+    least w is the result's ``min_eig`` and the sum of log w its ``logdet``;
+    the returned matrix still proves positive definiteness with its own
+    Cholesky factorization.  With
     finite eigenvalues (``eigh`` saw a finite matrix), it is built by the
     one construction that skips the finiteness and symmetry checks.
     """
     _check_lam(lam)
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     a, q = np.linalg.eigh(a_s)
-    w = 0.5 * (-a + np.sqrt(a**2 + 2.0 / lam))
+    root = np.sqrt(a**2 + 2.0 / lam)
+    w = 0.5 * (-a + root)
+    # -a + root cancels for large positive a, with a relative rounding error
+    # of about 2*eps*lam*a**2: at a covariance scale of 2**36 it returns 0.
+    # Where that error exceeds 2**-20 the same root is taken as
+    # (1/lam) / (a + root), which does not cancel; below it the plain form is
+    # kept, so results there do not move (dump-l12 reaches lam*a**2 = 2**27)
+    far = lam * a**2 > 2.0**31
+    w[far] = (1.0 / lam) / (a[far] + root[far])
     omega = (q * w) @ q.T
     omega = 0.5 * (omega + omega.T)
     min_eig, logdet = float(w.min()), float(np.sum(np.log(w)))
@@ -417,20 +449,32 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
                      omega0=None) -> PrecisionMatrix:
     """Gradient-ascent maximizer of the Omega block.
 
-    Ascends f(Omega) = (1/2lam)*log det(Omega) - <A_s, Omega> - 0.5*||Omega||_F**2
-    along its gradient G = (1/2lam)*Omega^-1 - A_s - Omega, symmetrizing each
-    trial point.  This is a plain first-order route, kept as an independent
-    check on the closed form of :func:`update_precision_eig`.
+    Ascends f(Omega) = (1/2lam)*log det(Omega) - <A_s, Omega> - 0.5*||Omega||_F**2,
+    whose Euclidean gradient is G = (1/2lam)*Omega^-1 - A_s - Omega.  This is
+    a first-order route, kept as an independent check on the closed form of
+    :func:`update_precision_eig`.
 
-    The trial step is 0.1 for the first step, then the Barzilai-Borwein
-    step <s, s> / -<s, y> with s and y the last accepted changes in Omega and
-    G; when -<s, y> <= 0 the previous step is kept.  The block Hessian is
-    <= -I, so this step never exceeds 1.  Each trial is tested by one
-    Cholesky factorization, which gives both positive definiteness and
-    log det.  A trial that is not positive definite, or that lowers f by more
-    than a rounding-level slack, halves the step (up to 40 times, down to a
-    floor of 1e-18), so every accepted iterate is positive definite and
-    ascends.
+    It steps along D = sym(Omega G Omega), the gradient in the
+    affine-invariant metric <X, Y>_Omega = tr(Omega^-1 X Omega^-1 Y) on
+    positive definite matrices (Absil, Mahony & Sepulchre, "Optimization
+    Algorithms on Matrix Manifolds", 2008).  <G, D> = ||Omega^1/2 G
+    Omega^1/2||_F**2 > 0, so D ascends.  The trial step is 0.1 for the first
+    step, then the Riemannian Barzilai-Borwein step
+    <s, Omega^-1 s Omega^-1> / -<s, y> (Iannazzo & Porcelli, IMA J. Numer.
+    Anal. 2018), with s and y the last accepted changes in Omega and G and
+    Omega^-1 the current iterate's; when -<s, y> <= 0 the previous step is
+    kept.  In Omega's eigenbasis, D is G with its (i, j) entry scaled by
+    w_i*w_j, the product of Omega's eigenvalues, so one step length serves a
+    block whose eigenvalues span many orders of magnitude, where a Euclidean
+    step has to shrink to the stiffest direction.  Each step costs the one
+    ``inv`` that G needs plus four matrix products; there is no
+    eigendecomposition.
+
+    Each trial is tested by one Cholesky factorization, which gives both
+    positive definiteness and log det.  A trial that is not positive
+    definite, or that lowers f by more than a rounding-level slack, halves
+    the step (up to 40 times, down to a floor of 1e-18), so every accepted
+    iterate is positive definite and ascends.
 
     Stops when ||G||_F drops to ``tol``, when no step scale ascends, or after
     ``max_iter`` gradient steps; in every case the last iterate is returned.
@@ -448,7 +492,8 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
     step = 0.1
     previous = None  # (Omega, G) before the last accepted step
     for _ in range(max_iter):
-        grad = np.linalg.inv(omega) / (2.0 * lam) - a_s - omega
+        inverse = np.linalg.inv(omega)
+        grad = inverse / (2.0 * lam) - a_s - omega
         if not np.all(np.isfinite(grad)):
             raise NumericalError("precision update produced non-finite gradient")
         if float(np.linalg.norm(grad)) <= tol:
@@ -457,13 +502,15 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
             s = omega - previous[0]
             curvature = -float(np.sum(s * (grad - previous[1])))
             if curvature > 0.0:
-                step = float(np.sum(s * s)) / curvature
+                step = float(np.sum(s * (inverse @ s @ inverse))) / curvature
+        direction = omega @ grad @ omega
+        direction = 0.5 * (direction + direction.T)
         # rounding-level slack: near the optimum the true ascent per step drops
         # below double precision and exact comparisons would stall the loop
         slack = 1e-12 * (1.0 + abs(value))
         accepted = False
         for _ in range(40):
-            trial = omega + step * grad
+            trial = omega + step * direction
             trial = 0.5 * (trial + trial.T)
             trial_value = _subproblem_value(trial, a_s, lam)
             # -inf marks a trial that is not PD; it must not pass against a

@@ -701,6 +701,21 @@ def test_simulate_dump_mode_refuses_an_integer_too_large_for_a_float(tmp_path, c
     assert "steps.json: record 2 key 'grads': must be numbers" in capsys.readouterr().err
 
 
+def test_simulate_dump_mode_accepts_a_fixture_with_large_values(tmp_path):
+    # every value times 2^9 multiplies the covariance by 2^36; a fixed
+    # tolerance of 1e-10 on its least eigenvalue refused it
+    dump = tmp_path / "dump"
+    dump.mkdir()
+    for path in sorted((FIXTURES / "score_dump").glob("*.json")):
+        records = json.loads(path.read_text())
+        for record in records:
+            record["values"] = [512.0 * v for v in record["values"]]
+        (dump / path.name).write_text(json.dumps(records))
+    config = _small_config(tmp_path, mode="dump", dump=str(dump))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"),
+                 "--quiet"]) == 0
+
+
 # ------------------------------------------------------------------ round trip
 
 

@@ -21,8 +21,8 @@ from ggm_select.ggm import (
     update_precision,
     update_precision_eig,
 )
-from ggm_select.nodes import sample_statistics, select_important
-from ggm_select.pipeline import PipelineConfig, make_planted
+from ggm_select.nodes import read_score_dump, replay_scores, sample_statistics, select_important
+from ggm_select.pipeline import PipelineConfig, make_planted, select_trainable
 from ggm_select.scalar_prox import ProxProblem, solve_threshold
 from ggm_select.surrogates import SurrogateSpec
 
@@ -113,6 +113,17 @@ def test_eigen_update_is_stationary():
     a_s = 0.5 * (a + a.T)
     grad = np.linalg.inv(omega) / (2 * lam) - a_s - omega
     assert np.linalg.norm(grad) <= 1e-8
+
+
+@pytest.mark.parametrize("a", [1e5, 1e10, 1e150])
+def test_eigen_update_keeps_its_digits_for_a_large_coefficient(a):
+    # the root of 1/(2*lam*w) - a - w = 0 is about 1/(2*lam*a); -a + sqrt(a**2 + 2/lam)
+    # loses it to cancellation
+    lam = 0.5
+    precision = update_precision_eig(np.diag([2 * lam * a, 1.0]), np.zeros((2, 2)), lam)
+    w = precision.omega[0, 0]
+    assert w * (a + w) == pytest.approx(1 / (2 * lam), rel=1e-12)
+    assert precision.min_eig == w
 
 
 def test_gradient_update_golden_ratio_fixed_point():
@@ -219,6 +230,27 @@ def test_gradient_route_ill_conditioned_distant_start(lam):
     root = rng.standard_normal((n, n))
     for omega0 in (25.0 * np.eye(n), root @ root.T / n + 0.01 * np.eye(n)):
         assert np.linalg.norm(omega0 - closed) > 5.0
+        start = _block_objective(omega0, sigma, delta, lam)
+        result = update_precision(sigma, delta, lam, omega0=omega0)
+        assert np.linalg.eigvalsh(result.omega)[0] > 0
+        assert _block_objective(result.omega, sigma, delta, lam) >= start - 1e-12 * (1 + abs(start))
+        assert np.linalg.norm(result.omega - closed) <= 1e-6
+
+
+@pytest.mark.parametrize("top", [2, 3])
+@pytest.mark.parametrize("lam", [0.05, 0.1])
+def test_gradient_route_reaches_the_closed_form_on_wide_spectra(lam, top):
+    # spectra 1e-3...1e2 and 1e-3...1e3: a Euclidean step stopped at its
+    # 5000-step cap here, 2.5e-4 to 130 away from the closed form
+    rng = np.random.default_rng(37)
+    n = 40
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma = (q * np.logspace(-3, top, n)) @ q.T
+    sigma = 0.5 * (sigma + sigma.T)
+    delta = rng.standard_normal((n, n)) * 0.3
+    closed = update_precision_eig(sigma, delta, lam).omega
+    root = rng.standard_normal((n, n))
+    for omega0 in (25.0 * np.eye(n), root @ root.T / n + 0.01 * np.eye(n)):
         start = _block_objective(omega0, sigma, delta, lam)
         result = update_precision(sigma, delta, lam, omega0=omega0)
         assert np.linalg.eigvalsh(result.omega)[0] > 0
@@ -417,6 +449,32 @@ def test_problem_rejects_indefinite_covariance():
     sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         GgmProblem(sigma, (0,), 0.1, 1.0, SurrogateSpec.identity())
+
+
+def _fixture_covariance():
+    dump = Path(__file__).resolve().parent / "fixtures" / "score_dump"
+    return sample_statistics(replay_scores(read_score_dump(dump), 0.85, 0.85))[1]
+
+
+def test_problem_accepts_the_fixture_covariance_at_every_scale():
+    # rank 4 of 5, least eigenvalue -6e-21 against a largest of 3.5e-3
+    sigma = _fixture_covariance()
+    for k in range(-40, 41):
+        problem = GgmProblem(sigma * 2.0**k, (0,), 0.1, 1.0, SurrogateSpec.identity())
+        assert problem.n == 5, k
+
+
+def test_problem_refuses_an_indefinite_covariance_at_every_scale():
+    for k in range(-40, 41):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            GgmProblem(np.diag([1.0, -1e-6]) * 2.0**k, (0,), 0.1, 1.0, SurrogateSpec.identity())
+
+
+def test_problem_refuses_an_asymmetric_covariance_at_every_scale():
+    for k in range(-40, 41):
+        with pytest.raises(ValueError, match="not symmetric"):
+            GgmProblem(np.array([[1.0, 1e-6], [0.0, 1.0]]) * 2.0**k, (0,), 0.1, 1.0,
+                       SurrogateSpec.identity())
 
 
 def test_problem_rejects_duplicate_and_out_of_range_indices():
@@ -711,6 +769,41 @@ def test_gradient_route_is_accelerated_too():
     ))
     assert eig.converged and grad.converged
     assert np.linalg.norm(eig.omega_star.omega - grad.omega_star.omega) <= 1e-6
+
+
+def _gradient_n30(seed, precision_method):
+    """The reference problem at n = 30 with T = 4, on the given precision route."""
+    config = PipelineConfig.from_json_file(REFERENCE_CONFIG)
+    config = replace(config, n=30, seed=seed, solver=replace(
+        config.solver, T=4, precision_method=PrecisionMethod(precision_method)))
+    _, samples = make_planted(config.n, config.h, config.k_connected, config.coupling,
+                              config.m, config.seed)
+    mean, cov = sample_statistics(samples)
+    problem = GgmProblem(cov, select_important(mean, config.h), config.tau, config.lam,
+                         config.surrogate)
+    return config, problem
+
+
+def test_gradient_route_step_budget_on_the_reference_problem(monkeypatch):
+    # one inv per gradient evaluation: 251 with a Euclidean step, 103 with the
+    # affine-invariant one
+    config, problem = _gradient_n30(1, "gradient")
+    invs = _count_calls(monkeypatch, np.linalg, "inv")
+    report = solve_ggm(problem, config.solver)
+    assert report.iterations == 4
+    assert len(invs) <= 150
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_gradient_route_selects_as_the_eigen_route_on_the_reference_problem(seed):
+    selected = []
+    for route in ("gradient", "eigen"):
+        config, problem = _gradient_n30(seed, route)
+        report = solve_ggm(problem, config.solver)
+        selection = select_trainable(report, problem.important_set,
+                                     budget=config.selection_budget)
+        selected.append((selection.important_set, selection.solver_selected))
+    assert selected[0] == selected[1]
 
 
 def test_solver_options_fields_are_unchanged():
