@@ -702,8 +702,8 @@ def test_simulate_dump_mode_refuses_an_integer_too_large_for_a_float(tmp_path, c
 
 
 def test_simulate_dump_mode_accepts_a_fixture_with_large_values(tmp_path):
-    # every value times 2^9 multiplies the covariance by 2^36; a fixed
-    # tolerance of 1e-10 on its least eigenvalue refused it
+    # every value times 2^9 multiplies the covariance (rank 4 of 5) by 2^36,
+    # which puts its rounding-level least eigenvalue near -4e-10
     dump = tmp_path / "dump"
     dump.mkdir()
     for path in sorted((FIXTURES / "score_dump").glob("*.json")):

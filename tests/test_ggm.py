@@ -240,8 +240,8 @@ def test_gradient_route_ill_conditioned_distant_start(lam):
 @pytest.mark.parametrize("top", [2, 3])
 @pytest.mark.parametrize("lam", [0.05, 0.1])
 def test_gradient_route_reaches_the_closed_form_on_wide_spectra(lam, top):
-    # spectra 1e-3...1e2 and 1e-3...1e3: a Euclidean step stopped at its
-    # 5000-step cap here, 2.5e-4 to 130 away from the closed form
+    # spectra 1e-3...1e2 and 1e-3...1e3: a Euclidean step ends its 5000
+    # steps 2.5e-4 to 128 away from the closed form here
     rng = np.random.default_rng(37)
     n = 40
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
