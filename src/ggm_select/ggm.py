@@ -418,8 +418,9 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     With A_s = Q diag(a) Q^T, the stationarity condition
     1/(2*lam*w) - a - w = 0 has the unique positive root
     w = (-a + sqrt(a**2 + 2/lam)) / 2 per eigenvalue, so the solution is
-    strictly positive definite by construction; where -a + sqrt(...) would
-    cancel, w is taken in the equivalent form (1/lam) / (a + sqrt(...)).  The
+    strictly positive definite by construction; for a large positive a,
+    where -a + sqrt(...) would cancel, w is taken in the equivalent form
+    (1/lam) / (a + sqrt(...)), which cancels for negative a instead.  The
     least w is the result's ``min_eig`` and the sum of log w its ``logdet``;
     the returned matrix still proves positive definiteness with its own
     Cholesky factorization.  With
@@ -433,10 +434,12 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     w = 0.5 * (-a + root)
     # -a + root cancels for large positive a, with a relative rounding error
     # of about 2*eps*lam*a**2: at a covariance scale of 2**36 it returns 0.
-    # Where that error exceeds 2**-20 the same root is taken as
-    # (1/lam) / (a + root), which does not cancel; below it the plain form is
-    # kept, so results there do not move (dump-l12 reaches lam*a**2 = 2**27)
-    far = lam * a**2 > 2.0**31
+    # Where a > 0 and that error exceeds 2**-20 the same root is taken as
+    # (1/lam) / (a + root), which does not cancel there; below it the plain
+    # form is kept, so results there do not move (dump-l12 reaches
+    # lam*a**2 = 2**27).  For a < 0 the plain form is exact and a + root
+    # cancels, so it is kept at every size.
+    far = (a > 0) & (lam * a**2 > 2.0**31)
     w[far] = (1.0 / lam) / (a[far] + root[far])
     omega = (q * w) @ q.T
     omega = 0.5 * (omega + omega.T)

@@ -701,19 +701,37 @@ def test_simulate_dump_mode_refuses_an_integer_too_large_for_a_float(tmp_path, c
     assert "steps.json: record 2 key 'grads': must be numbers" in capsys.readouterr().err
 
 
-def test_simulate_dump_mode_accepts_a_fixture_with_large_values(tmp_path):
-    # every value times 2^9 multiplies the covariance (rank 4 of 5) by 2^36,
-    # which puts its rounding-level least eigenvalue near -4e-10
+def _scaled_dump_config(tmp_path, factor):
+    """A dump-mode config over the fixture dump with every value times ``factor``."""
     dump = tmp_path / "dump"
     dump.mkdir()
     for path in sorted((FIXTURES / "score_dump").glob("*.json")):
         records = json.loads(path.read_text())
         for record in records:
-            record["values"] = [512.0 * v for v in record["values"]]
+            record["values"] = [factor * v for v in record["values"]]
         (dump / path.name).write_text(json.dumps(records))
-    config = _small_config(tmp_path, mode="dump", dump=str(dump))
+    return _small_config(tmp_path, mode="dump", dump=str(dump))
+
+
+def test_simulate_dump_mode_accepts_a_fixture_with_large_values(tmp_path):
+    # every value times 2^9 multiplies the covariance (rank 4 of 5) by 2^36,
+    # which puts its rounding-level least eigenvalue near -4e-10
+    config = _scaled_dump_config(tmp_path, 2.0**9)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run"),
                  "--quiet"]) == 0
+
+
+def test_simulate_dump_mode_solves_a_fixture_with_small_values(tmp_path):
+    # every value times 2^-9 leaves node variances below 1e-8, so the closed
+    # form meets eigenvalues of A_s near -1e8, where only -a + sqrt(a**2 + 2/lam)
+    # keeps the root's digits
+    config = _scaled_dump_config(tmp_path, 2.0**-9)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    selection = json.loads((out / "selection.json").read_text())
+    assert selection["important_set"] == [1, 3]
+    assert selection["solver_selected"] == [2, 4]
+    assert selection["frozen"] == [0]
 
 
 # ------------------------------------------------------------------ round trip

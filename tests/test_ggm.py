@@ -126,6 +126,17 @@ def test_eigen_update_keeps_its_digits_for_a_large_coefficient(a):
     assert precision.min_eig == w
 
 
+@pytest.mark.parametrize("a", [-1e5, -1e8, -2.0**27, -1e150])
+def test_eigen_update_keeps_its_digits_for_a_large_negative_coefficient(a):
+    # the root is about -a + 1/(2*lam*(-a)); here a + sqrt(a**2 + 2/lam)
+    # cancels, so w * (a + w) cannot check it and the expansion does
+    lam = 0.5
+    precision = update_precision_eig(np.diag([2 * lam * a, 1.0]), np.zeros((2, 2)), lam)
+    w = precision.omega[0, 0]
+    assert w == pytest.approx(-a + 1 / (2 * lam * -a), rel=1e-12)
+    assert precision.min_eig == pytest.approx(PHI, rel=1e-12)
+
+
 def test_gradient_update_golden_ratio_fixed_point():
     omega = update_precision(np.eye(3), np.zeros((3, 3)), 0.5).omega
     np.testing.assert_allclose(omega, PHI * np.eye(3), atol=1e-8)
