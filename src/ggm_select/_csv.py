@@ -16,11 +16,13 @@ For a value ``a`` in [1e-5, 1e16):
   ``10**p`` is an exact double for p <= 22;
 - the 17 significant digits are ``D = hi + rint(lo)``: ``hi`` is an even
   integer above 2**53, so ``rint`` rounds half to even as ``%.17g`` does;
-- ``D`` becomes digit characters through a table of 4-digit groups, and
-  the trailing zeros are trimmed;
+- ``D`` becomes one byte per digit, valued 0 to 9, through a table of
+  4-digit groups; the highest nonzero byte gives the significant digits;
 - the layout is that of ``%g``: fixed notation for exponents -4 to 16,
-  ``d.ddde-05`` for -5;
-- one boolean gather picks the shown bytes of the whole block.
+  ``d.ddde-05`` for -5.  Digits move only for a point after digit 1 or
+  later, or for ``e-05``; one table per exponent and digit count adds the
+  ``"0"`` bits of the shown digits, the point, prefix, suffix and separator;
+- every byte not shown is 0, and one ``bytes.translate`` drops them all.
 
 A block with any other value (zeros, ``-0.0``, anything outside [1e-5,
 1e16)) is instead one ``%`` call of the row template
@@ -39,17 +41,22 @@ __all__ = ["BLOCK_VALUES", "format_rows"]
 # that the temporaries stay well under 2 MB
 BLOCK_VALUES = 4096
 
-# the decimal exponents of the fast range [1e-5, 1e16)
+# the decimal exponents of the fast range [1e-5, 1e16); a value's class is
+# its exponent + 5
 _EXPONENTS = range(-5, 16)
 _FAST_LOW, _FAST_HIGH = 10.0 ** _EXPONENTS.start, 10.0 ** _EXPONENTS.stop
 _DIGITS = 17
-# A value's text is laid out in a slot of four little-endian 64-bit words:
-# bytes 0-23 hold the text ("%.17g" of a finite double is at most 24 bytes,
-# "-2.2250738585072014e-308"), byte 24 the separator, the rest is unused.
-_TEXT_BYTES = 24
-_SLOT_BYTES = 32
+# A value's text is laid out in a slot of three little-endian 64-bit words.
+# Byte 0 holds the separator before the value, and the text follows in at
+# most 22 bytes ("0.00012345678901234567", "1.2345678901234567e-05").
+# Digit 0 is byte 6 and digits 1-8 and 9-16 fill words 1 and 2, so byte 7
+# is free for a point after digit 0 and bytes 1-5 for the "0.000" prefix.
+_SLOT_BYTES = 24
+_FIRST = 6
 
-_POW10 = 10.0 ** np.arange(23)
+# 10**(16 - k) per class; class 21 is a value just below 1e16 whose log10
+# rounds up to 16
+_SCALE = 10.0 ** (16 - np.arange(_EXPONENTS.start, _EXPONENTS.stop + 1))
 
 
 def _split(a):
@@ -59,119 +66,115 @@ def _split(a):
     return high, a - high
 
 
-_POW10_HIGH, _POW10_LOW = _split(_POW10)
+_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
 
-# numpy's own cast D.astype("S17") gives the same 17 bytes, but takes about
-# 1.4 ms per 4,096 values against 0.24 ms for these tables and _digit_words
-_GROUP = np.arange(10000)
-# the four digits of each g < 10**4, most significant first, as the ASCII
-# bytes of a little-endian word
-_GROUP_TEXT = sum((_GROUP // 10 ** (3 - i) % 10 + ord("0")) << (8 * i)
-                  for i in range(4)).astype(np.uint64)
-# the trailing zero digits of each g among its four (4 for g = 0)
-_GROUP_ZEROS = sum(_GROUP % 10**i == 0 for i in range(1, 5))
+# numpy's own cast D.astype("S17") gives the same 17 characters, but takes
+# about 0.7 ms per 4,096 values against 0.08 ms for this table and
+# _digit_words.  The four digits of each g < 10**4, most significant first,
+# as the bytes of a little-endian word:
+_GROUP_DIGITS = sum(np.arange(10000) // 10 ** (3 - i) % 10 << (8 * i) for i in range(4))
 
 
 def _layouts():
-    """Per decimal exponent: how the 17 digits at bytes 0-16 of a slot become ``%g`` text.
+    """Per class: the bytes that move for the point; per class and digit count: the characters.
 
-    The digits move up ``lead`` bits; then the bytes from ``point`` on move
-    up one more byte, which is ``(text & low) | (text << 8 & high)``;
-    ``const`` fills the bytes so freed (the point, the ``0.0`` prefix, the
-    ``e-05`` suffix).  ``keep[18 * c + s]`` marks the slot bytes shown for
-    exponent class ``c`` when ``s`` digits are significant: ``%g`` drops
-    trailing zeros of the fraction and a point with no fraction after it.
+    For an exponent of 1 or more, ``m = d & _MOVE[class]`` holds digits 1 to
+    exponent of a slot's digits ``d``, and ``d ^ m ^ (m moved down one
+    byte)`` moves them next to digit 0, which frees the point's byte.  Then
+    ``| _TEXT[17 * class + s - 1]`` adds, for ``s`` significant digits, the
+    ``"0"`` bits of each shown digit, the point, the ``0.0`` prefix, the
+    ``e-05`` suffix and a ",".  ``%g`` drops trailing zeros of the
+    fraction, which are 0 bytes already, and a point with no fraction after
+    it, which gets no bits.
     """
     count = len(_EXPONENTS)
-    lead = np.zeros(count, dtype=np.uint64)
-    low, high, const = np.zeros((3, count, _TEXT_BYTES), dtype=np.uint8)
-    keep = np.zeros((count, _DIGITS + 1, _SLOT_BYTES), dtype=bool)
-    keep[:, :, _TEXT_BYTES] = True
-    position = np.arange(_TEXT_BYTES)
-    significant = np.arange(_DIGITS + 1)[:, None]
+    move = np.zeros((count, _SLOT_BYTES), dtype=np.uint8)
+    text = np.zeros((count, _DIGITS, _SLOT_BYTES), dtype=np.uint8)
+    text[:, :, 0] = ord(",")
+    digit = np.arange(_DIGITS)
+    significant = np.arange(1, _DIGITS + 1)[:, None]
     for c, exp in enumerate(_EXPONENTS):
-        if exp >= 0:
-            # fixed notation; the integer digits always show
-            prefix, point, suffix = b"", exp + 1, b""
-            shown = np.where(significant > point, significant + 1, point)
-        elif exp >= -4:
-            # fixed notation: "0.", the leading zeros, the digits
-            prefix, point, suffix = b"0." + b"0" * (-exp - 1), None, b""
-            shown = len(prefix) + significant
+        # the integer digits always show; "d.ddde-05" starts 4 bytes lower
+        first = _FIRST - 4 * (exp == -5)
+        integer = max(exp, 0) + 1
+        shown, at = digit < np.maximum(significant, integer), first + digit + (digit >= integer)
+        text[c][:, at] |= np.where(shown, ord("0"), 0).astype(np.uint8)
+        if -5 < exp < 0:
+            prefix = b"0." + b"0" * (-exp - 1)
+            text[c, :, _FIRST - len(prefix):_FIRST] = list(prefix)
         else:
-            prefix, point, suffix = b"", 1, b"e-%02d" % -exp
-            shown = np.where(significant > 1, significant + 1, 1)
-        lead[c] = 8 * len(prefix)
-        const[c, :len(prefix)] = list(prefix)
-        if point is None:
-            low[c] = 0xFF
-        else:
-            low[c, :point] = 0xFF
-            high[c, point + 1:] = 0xFF
-            const[c, point] = ord(".")
-        end = len(prefix) + _DIGITS + (point is not None)
-        const[c, end:end + len(suffix)] = list(suffix)
-        keep[c, :, :_TEXT_BYTES] = position < shown
-        keep[c, :, end:end + len(suffix)] = True
-
-    def words(table):
-        # one row per word: _LOW[word][exp_class] is a plain 1-D gather
-        return table.view("<u8").astype(np.uint64).T.copy()
-
-    return lead, words(low), words(high), words(const), keep.reshape(-1, _SLOT_BYTES)
+            move[c, _FIRST + 2:first + integer + 1] = 0xFF
+            text[c, :, first + integer] = np.where(significant[:, 0] > integer, ord("."), 0)
+        if exp == -5:
+            text[c, :, -4:] = list(b"e-05")
+    return [table.reshape(-1, _SLOT_BYTES).view("<u8").astype(np.int64) for table in (move, text)]
 
 
-_LEAD, _LOW, _HIGH, _CONST, _KEEP = _layouts()
+_MOVE, _TEXT = _layouts()
 
 
-def _shift_up(words, bits):
-    """Shift three words, byte 0 first, up by ``bits`` (< 64 each) toward the last byte."""
-    # "w >> 1 >> (63 - bits)" is the carry "w >> (64 - bits)", and 0 for bits = 0
-    carry = 63 - bits
-    return [words[0] << bits,
-            words[1] << bits | words[0] >> 1 >> carry,
-            words[2] << bits | words[1] >> 1 >> carry]
+def _product(a, exp_class):
+    """``a * 10**(21 - exp_class)`` rounded half to even to an integer, exactly."""
+    hi = a * _SCALE[exp_class]
+    a_high, a_low = _split(a)
+    p_high, p_low = _SCALE_HIGH[exp_class], _SCALE_LOW[exp_class]
+    lo = a_high * p_high
+    lo -= hi
+    lo += a_high * p_low
+    lo += a_low * p_high
+    lo += a_low * p_low
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
 def _scaled_digits(a: np.ndarray):
-    """The 17 significant digits ``D`` of each ``a`` in [1e-5, 1e16) and its decimal exponent.
+    """The 17 significant digits ``D`` of each ``a`` in [1e-5, 1e16) and its class.
 
     ``D`` is ``a * 10**(16 - exp)`` rounded half to even, in [1e16, 1e17).
     The rounding never carries to 10**17: that needs a double within half a
     unit of the 17th digit below a power of ten, and none lies in [1e-5,
-    1e16) (the closest are 8e-17 below 1e-1 and 1e-4, relative).
+    1e16) (the closest are 8e-17 below 1e-1 and 1e-4, relative).  So ``D``
+    leaves [1e16, 1e17) exactly where ``log10`` rounded across a power of
+    ten.
     """
-    exp = np.floor(np.log10(a)).astype(np.int64)
-    a_high, a_low = _split(a)
-    while True:
-        power = 16 - exp
-        hi = a * _POW10[power]
-        p_high, p_low = _POW10_HIGH[power], _POW10_LOW[power]
-        lo = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
-        # hi + lo is the exact product; log10 may round across a power of ten
-        below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        if not (below.any() or above.any()):
-            break
-        exp += above
-        exp -= below
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), exp
+    # log10 a + 5 >= 0 up to rounding, so the cast takes the floor
+    exp_class = (np.log10(a) + 5).astype(np.intp)
+    scaled = _product(a, exp_class)
+    wrong = np.flatnonzero((scaled - 10**16).view(np.uint64) >= 9 * 10**16)
+    while wrong.size:
+        exp_class[wrong] += np.where(scaled[wrong] < 10**16, -1, 1)
+        scaled[wrong] = _product(a[wrong], exp_class[wrong])
+        wrong = wrong[(scaled[wrong] - 10**16).view(np.uint64) >= 9 * 10**16]
+    return scaled, exp_class
 
 
 def _digit_words(scaled):
-    """Each ``D`` as ASCII digits at bytes 0-16 of three words, and its significant digit count."""
-    high9, low8 = np.divmod(scaled, 10**8)
-    top, high8 = np.divmod(high9, 10**8)
-    groups = [*np.divmod(high8, 10**4), *np.divmod(low8, 10**4)]
-    text = [_GROUP_TEXT[group] for group in groups]
-    words = [(top + ord("0")).astype(np.uint64) | text[0] << 8 | text[1] << 40,
-             text[1] >> 24 | text[2] << 8 | text[3] << 40,
-             text[3] >> 24]
-    # trailing zeros of the 17 digits; the first digit is never 0
-    zeros = _GROUP_ZEROS[groups[0]]
-    for group in groups[1:]:
-        zeros = _GROUP_ZEROS[group] + (group == 0) * zeros
-    return words, _DIGITS - zeros
+    """Each ``D`` as one byte per digit at bytes 6 and 8-23 of a slot, and the index of its last nonzero digit."""
+    top = scaled // 10**16
+    rest = scaled - top * 10**16
+    halves = np.empty((2, scaled.size), dtype=np.int64)
+    np.floor_divide(rest, 10**8, out=halves[0])
+    np.subtract(rest, halves[0] * 10**8, out=halves[1])
+    high = halves // 10**4
+    # digits 1-8 and 9-16, one word each
+    glyphs = _GROUP_DIGITS[high] | _GROUP_DIGITS[halves - high * 10**4] << 32
+    words = np.empty((scaled.size, 3), dtype=np.int64)
+    np.left_shift(top, 8 * _FIRST, out=words[:, 0])
+    words[:, 1], words[:, 2] = glyphs
+    # The last nonzero digit is the highest nonzero byte of the 128-bit
+    # number ``glyphs[1] * 2**64 + glyphs[0]``, read off the exponent of its
+    # float: a digit byte is at most 9, so the float never rounds up into the
+    # next byte, and the 0.5 makes 0 read as digit 0.
+    last = (glyphs[1] * 2.0**64 + glyphs[0] + 0.5).view(np.int64) >> 52
+    return words, (last - 1015) >> 3
+
+
+def _moved_down(words, count):
+    """The slots' bytes as one stream moved ``count`` bytes toward byte 0, with 0 bytes at the end."""
+    out = np.empty_like(words)
+    stream = out.reshape(-1).view(np.uint8)
+    stream[:-count] = words.reshape(-1).view(np.uint8)[count:]
+    stream[-count:] = 0
+    return out
 
 
 def format_rows(rows) -> bytes:
@@ -182,22 +185,28 @@ def format_rows(rows) -> bytes:
     """
     rows = np.asarray(rows, dtype=float)
     m, n = rows.shape
-    if n == 0:
-        return b"\n" * m
     values = rows.ravel()
-    if not np.all((values >= _FAST_LOW) & (values < _FAST_HIGH)):
+    if values.size == 0:
+        return b"\n" * m
+    if not (values.min() >= _FAST_LOW and values.max() < _FAST_HIGH):
         template = (b",".join([b"%.17g"] * n) + b"\n") * m
         return template % tuple(values.tolist())
-    scaled, exp = _scaled_digits(values)
-    digits, significant = _digit_words(scaled)
-    exp_class = exp - _EXPONENTS[0]
-    digits = _shift_up(digits, _LEAD[exp_class])
-    moved = _shift_up(digits, 8)
-    slots = np.empty((values.size, _SLOT_BYTES // 8), dtype="<u8")
-    for word in range(3):
-        slots[:, word] = (digits[word] & _LOW[word][exp_class]
-                          | moved[word] & _HIGH[word][exp_class]
-                          | _CONST[word][exp_class])
-    slots[:, 3] = ord(",")
-    slots[n - 1::n, 3] = ord("\n")
-    return slots.view(np.uint8)[_KEEP[(_DIGITS + 1) * exp_class + significant]].tobytes()
+    scaled, exp_class = _scaled_digits(values)
+    digits, last = _digit_words(scaled)
+    if exp_class.min() == 0:
+        # "d.ddde-05": the digits move down 4 bytes
+        low = exp_class == 0
+        digits[low] = _moved_down(digits, 4)[low]
+    integer = np.flatnonzero(exp_class >= 6)
+    if integer.size:
+        # exponents 1 to 15: digits 1 to exponent move down one byte
+        part = digits[integer]
+        moving = part & np.take(_MOVE, exp_class[integer], axis=0)
+        digits[integer] = part ^ moving ^ _moved_down(moving, 1)
+    # one slot more for the "\n" that ends the last row
+    slots = np.zeros((values.size + 1, 3), dtype=np.int64)
+    np.bitwise_or(digits, np.take(_TEXT, _DIGITS * exp_class + last, axis=0), out=slots[:-1])
+    slots[n::n, 0] ^= ord(",") ^ ord("\n")
+    slots[0, 0] ^= ord(",")
+    slots[-1, 0] = ord("\n")
+    return slots.tobytes().translate(None, b"\0")

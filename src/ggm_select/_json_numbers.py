@@ -309,6 +309,11 @@ def cut_number_arrays(data: bytes):
     Without a backslash, no string of the text can read as U+0000, since
     ``json`` refuses a raw control character in a string, so a string that
     starts with U+0000 is one of these.
+
+    The first array is converted first.  A writer formats all its values
+    alike, so where that array keeps a token longer than 16 bytes (the
+    17-digit reprs of float32 values, say), no other array is tried:
+    ``text`` is ``data`` decoded, and ``arrays`` is empty.
     """
     if b"\\" in data:
         raise ValueError("the text holds a backslash")
@@ -318,18 +323,27 @@ def cut_number_arrays(data: bytes):
     opens, closes = _arrays(np.frombuffer(data, np.uint8), separators)
     # token i lies between separators i and i + 1; array k holds tokens opens[k] to closes[k] - 1
     windows = np.ndarray((len(codes) - 15,), "V16", codes, strides=(1,))
+    words = np.ndarray((len(codes) - 7,), "<u8", codes, strides=(1,))
     values, ok = np.empty(separators.size), np.zeros(separators.size, bool)
     store = _slots()
-    for at in range(0, separators.size - 1, _BLOCK):
-        block = slice(at, min(at + _BLOCK, separators.size - 1))
-        values[block], ok[block] = _convert(windows, code_bytes, separators[at:at + _BLOCK + 1], store)
-    other = np.flatnonzero(~ok[:-1])
-    array = np.searchsorted(opens, other, "right") - 1  # the array each token may lie in
-    other = other[(array >= 0) & (other < closes[array])]
-    if other.size:
-        words = np.ndarray((len(codes) - 7,), "<u8", codes, strides=(1,))
-        values[other], ok[other] = _other_values(windows, words, code_bytes, separators[other] + 1,
-                                                 separators[other + 1], store)
+
+    def convert(start, stop):
+        for at in range(start, stop, _BLOCK):
+            block = slice(at, min(at + _BLOCK, stop))
+            values[block], ok[block] = _convert(windows, code_bytes, separators[at:block.stop + 1], store)
+        other = start + np.flatnonzero(~ok[start:stop])
+        array = np.searchsorted(opens, other, "right") - 1  # the array each token may lie in
+        other = other[(array >= 0) & (other < closes[array])]
+        if other.size:
+            values[other], ok[other] = _other_values(windows, words, code_bytes, separators[other] + 1,
+                                                     separators[other + 1], store)
+
+    if opens.size:
+        convert(opens[0], closes[0])
+        failed = opens[0] + np.flatnonzero(~ok[opens[0]:closes[0]])
+        if np.any(separators[failed + 1] - separators[failed] > _WIDTH + 1):
+            return data.decode("utf-8"), {}
+    convert(0, separators.size - 1)
     bad = np.add.reduceat(~ok, np.stack([opens, closes], 1).ravel())[::2] if opens.size else opens
     pieces, arrays, end = [], {}, 0
     for k in np.flatnonzero(bad == 0).tolist():

@@ -158,3 +158,33 @@ def test_save_csv_peak_memory(tmp_path):
     assert peak < 2 << 20
     first = path.read_text().splitlines()[1]
     assert first == ",".join("%.17g" % v for v in samples.values[0])
+
+
+def _with_digits(exponent: int, significant: int):
+    """The first double from ``1.2345...e<exponent>`` up whose ``%.17g`` text has this many significant digits."""
+    first = int("12345678901234567"[:significant])
+    for mantissa in range(first, min(10**significant, first + 1000)):
+        value = float(f"{mantissa}e{exponent - significant + 1}")
+        digits, _, power = ("%.16e" % value).partition("e")
+        if int(power) == exponent and len(digits.replace(".", "").rstrip("0")) == significant:
+            return value
+    return None
+
+
+def test_every_layout_of_the_digit_route():
+    """Every decimal exponent from -5 to 15 with every significant digit count, first, inside and last in a row.
+
+    One pair is no double's text: ``"%.17g"`` of 1e-05 to 9e-05 shows 17
+    digits each, so no text reads ``de-05``.
+    """
+    pairs = [(e, s) for e in range(-5, 16) for s in range(1, 18)]
+    values = {pair: _with_digits(*pair) for pair in pairs}
+    assert [pair for pair, v in values.items() if v is None] == [(-5, 1)]
+    values = [v for v in values.values() if v is not None]
+    longest = sorted("%.17g" % v for v in values if len("%.17g" % v) == 22)
+    assert [text[:5] for text in longest] == ["0.000", "1.234"]  # "0.0001234...", "1.234...e-05"
+    filler = 1.5
+    rows = np.array([row for v in values for row in ([v, filler, filler], [filler, v, filler],
+                                                     [filler, filler, v])])
+    assert rows.min() >= 1e-5 and rows.max() < 1e16 and rows.size <= BLOCK_VALUES  # one digit-route block
+    assert format_rows(rows).split(b"\n") == _per_value(rows.tolist()).split(b"\n")

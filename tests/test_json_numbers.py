@@ -224,3 +224,55 @@ def test_a_dump_that_spells_true_takes_no_element_type_scan(tmp_path, monkeypatc
     want = nodes._read_file(path, cut=False)
     assert seen and all(kind is list and booleans for kind, booleans in seen)
     assert _outcome(got) == _outcome(want)
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by file path under a private module name."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def benchmark_dump_step(tmp_path_factory):
+    """The first file of the benchmark dump (``dump-l12``, seed 1), and its arrays as float32 reprs."""
+    workloads = _benchmark_workloads()
+    shape = workloads.WORKLOADS["dump-l12"].dump
+    steps = workloads.dump_arrays(workloads.replace(shape, steps=1), seed=1)
+    directory = tmp_path_factory.mktemp("dump-l12")
+    workloads.write_dump(steps, directory / "float64")
+    # what tolist() of a float32 tensor writes: 17-digit reprs such as 0.3455840051174164
+    workloads.write_dump([[{key: a.astype(np.float32) for key, a in layer.items()} for layer in steps[0]]],
+                         directory / "float32")
+    return directory / "float64" / "step0000.json", directory / "float32" / "step0000.json"
+
+
+def test_a_float32_dump_leaves_the_array_route_after_its_first_array(benchmark_dump_step, monkeypatch):
+    path = benchmark_dump_step[1]
+    text = path.read_text()
+    assert re.search(r"\d\.\d{15}", text)
+    first = json.loads(text)[0]["values"]
+    seen, convert = [], _json_numbers._convert
+
+    def spy(windows, codes, separators, store):
+        seen.append(separators.size - 1)
+        return convert(windows, codes, separators, store)
+
+    monkeypatch.setattr(_json_numbers, "_convert", spy)
+    assert cut_number_arrays(text.encode()) == (text, {})
+    assert 0 < sum(seen) <= len(first)
+    assert _outcome(nodes._read_file(path)) == _outcome(nodes._read_file(path, cut=False))
+
+
+def test_the_benchmark_dump_still_takes_the_array_route_for_every_array(benchmark_dump_step):
+    data = benchmark_dump_step[0].read_bytes()
+    skeleton, arrays = cut_number_arrays(data)
+    plain = json.loads(data)
+    assert len(plain) == 12 * (2 * 8 + 1) and len(arrays) == 2 * len(plain) == 408
+    _assert_same_tree(json.loads(skeleton), plain, arrays)

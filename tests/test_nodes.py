@@ -324,6 +324,8 @@ def test_sample_csv_bytes_match_per_value_writer(tmp_path):
         SampleSet(values=awkward[:, None], names=("only",)),
         SampleSet(values=np.zeros((0, 3)), names=("a", "b", "c")),
         make_planted(n=30, h=3, k_connected=4, coupling=0.5, m=400, seed=7)[1],
+        # the benchmark's planted n = 300 matrix: 308 blocks of 13 rows
+        make_planted(n=300, h=3, k_connected=4, coupling=0.5, m=4000, seed=1)[1],
     ]
     for i, samples in enumerate(cases):
         path = tmp_path / f"case{i}.csv"
