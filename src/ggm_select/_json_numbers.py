@@ -338,13 +338,14 @@ def cut_number_arrays(data: bytes):
             values[other], ok[other] = _other_values(windows, words, code_bytes, separators[other] + 1,
                                                      separators[other + 1], store)
 
-    if opens.size:
-        convert(opens[0], closes[0])
-        failed = opens[0] + np.flatnonzero(~ok[opens[0]:closes[0]])
-        if np.any(separators[failed + 1] - separators[failed] > _WIDTH + 1):
-            return data.decode("utf-8"), {}
+    if not opens.size:
+        return data.decode("utf-8"), {}
+    convert(opens[0], closes[0])
+    failed = opens[0] + np.flatnonzero(~ok[opens[0]:closes[0]])
+    if np.any(separators[failed + 1] - separators[failed] > _WIDTH + 1):
+        return data.decode("utf-8"), {}
     convert(0, separators.size - 1)
-    bad = np.add.reduceat(~ok, np.stack([opens, closes], 1).ravel())[::2] if opens.size else opens
+    bad = np.add.reduceat(~ok, np.stack([opens, closes], 1).ravel())[::2]
     pieces, arrays, end = [], {}, 0
     for k in np.flatnonzero(bad == 0).tolist():
         pieces += [data[end:separators[opens[k]]], b'"\\u0000%d"' % k]

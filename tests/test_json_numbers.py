@@ -173,6 +173,7 @@ def test_a_compact_dump_takes_the_array_route(tmp_path):
     ('[[1, 2]]', 1),
     ('{"values": [01], "grads": [-01.5], "x": [00], "y": [10, 0.5, -0, 0]}', 1),  # leading zeros
     ('{[1]: 2}', 0),  # in a key's place an array stays, and json refuses it
+    ('{"step": 1, "values": "x"}', 0),  # no array at all
 ])
 def test_which_arrays_the_cut_converts(text, converted):
     assert len(cut_number_arrays(text.encode())[1]) == converted
