@@ -311,9 +311,10 @@ def cut_number_arrays(data: bytes):
     starts with U+0000 is one of these.
 
     The first array is converted first.  A writer formats all its values
-    alike, so where that array keeps a token longer than 16 bytes (the
-    17-digit reprs of float32 values, say), no other array is tried:
-    ``text`` is ``data`` decoded, and ``arrays`` is empty.
+    alike, so where that array keeps a token that spans more than 16 bytes
+    with its leading whitespace (the 17-digit reprs of float32 values,
+    say), no other array is tried: ``text`` is ``data`` decoded, and
+    ``arrays`` is empty, as for a text with no array.
     """
     if b"\\" in data:
         raise ValueError("the text holds a backslash")

@@ -7,9 +7,11 @@ the reference.  Every file must give the same records, the same packed
 |values * grads| bytes and, for a refused file, the same error.
 """
 
+import importlib.util
 import json
 import re
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,9 +231,6 @@ def test_a_dump_that_spells_true_takes_no_element_type_scan(tmp_path, monkeypatc
 
 def _benchmark_workloads():
     """``perfbench/workloads.py``, loaded by file path under a private module name."""
-    import importlib.util
-    import sys
-
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
