@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._inputs import json_file, named, number_table
+from ._inputs import number_table
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -263,12 +263,9 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _simulate_one(config_payload: dict, seed: int, out_dir: str, config_path: str) -> dict:
+def _simulate_one(config: PipelineConfig, out_dir: str, config_path: str) -> dict:
     """Run one simulate invocation; a module-level function so it pickles."""
     started = _utc_now()
-    payload = dict(config_payload)
-    payload["seed"] = seed
-    config = PipelineConfig.from_json_dict(payload)
     result = run_pipeline(config)
 
     out = Path(out_dir)
@@ -283,7 +280,7 @@ def _simulate_one(config_payload: dict, seed: int, out_dir: str, config_path: st
         out / "manifest.json",
         command="simulate",
         config=config.to_json_dict(),
-        seed=seed,
+        seed=config.seed,
         inputs={"config": Path(config_path)},
         outputs={
             "selection.json": selection_path,
@@ -293,7 +290,7 @@ def _simulate_one(config_payload: dict, seed: int, out_dir: str, config_path: st
         started=started,
     )
     line = {
-        "seed": seed,
+        "seed": config.seed,
         "out": str(out),
         "selected": list(result.selection.solver_selected),
         "converged": result.report.converged,
@@ -307,10 +304,8 @@ def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    payload = json_file(config_path)
-    # validate before launching any runs so flag errors surface immediately
-    with named(config_path):
-        config = PipelineConfig.from_json_dict(payload)
+    # validate once, before launching any runs, so flag errors surface immediately
+    config = PipelineConfig.from_json_file(config_path)
 
     out_root = Path(args.out)
     if args.seeds is not None:
@@ -325,22 +320,19 @@ def cmd_simulate(args) -> int:
     else:
         seed = args.seed if args.seed is not None else config.seed
         runs = [(seed, str(out_root))]
-    for seed, _ in runs:
-        replace(config, seed=seed)  # a planted run refuses a negative seed here, not midway
+    # a planted run refuses a negative seed here, not midway
+    runs = [(replace(config, seed=seed), out_dir) for seed, out_dir in runs]
 
     if args.jobs > 1 and len(runs) > 1:
         # never more workers than runs: a worker past that has no run to take
         with _process_pool(min(args.jobs, len(runs))) as pool:
             futures = [
-                pool.submit(_simulate_one, payload, seed, out_dir, str(config_path))
-                for seed, out_dir in runs
+                pool.submit(_simulate_one, run, out_dir, str(config_path))
+                for run, out_dir in runs
             ]
             lines = [future.result() for future in futures]
     else:
-        lines = [
-            _simulate_one(payload, seed, out_dir, str(config_path))
-            for seed, out_dir in runs
-        ]
+        lines = [_simulate_one(run, out_dir, str(config_path)) for run, out_dir in runs]
 
     if not args.quiet:
         for line in lines:

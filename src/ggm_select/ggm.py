@@ -408,8 +408,8 @@ def _subproblem_value(omega: np.ndarray, a_s: np.ndarray, lam: float) -> float:
         chol = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         return -np.inf
-    logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    return logdet / (2.0 * lam) - float(np.sum(a_s * omega)) - 0.5 * float(np.sum(omega**2))
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+    return logdet / (2.0 * lam) - float((a_s * omega).sum()) - 0.5 * float((omega**2).sum())
 
 
 def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
@@ -473,11 +473,12 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
     ``inv`` that G needs plus four matrix products; there is no
     eigendecomposition.
 
-    Each trial is tested by one Cholesky factorization, which gives both
-    positive definiteness and log det.  A trial that is not positive
-    definite, or that lowers f by more than a rounding-level slack, halves
-    the step (up to 40 times, down to a floor of 1e-18), so every accepted
-    iterate is positive definite and ascends.
+    Iterates are exactly symmetric: D is, so a trial is symmetrized only while
+    the iterate is not (an asymmetric ``omega0``, until its first accepted
+    step).  One Cholesky factorization per trial gives both positive
+    definiteness and log det.  A trial that is not positive definite, or that
+    lowers f by more than a rounding-level slack, halves the step (up to 40
+    times, down to a floor of 1e-18), so accepted iterates are PD and ascend.
 
     Stops when ||G||_F drops to ``tol``, when no step scale ascends, or after
     ``max_iter`` gradient steps; in every case the last iterate is returned.
@@ -491,21 +492,24 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     n = a_s.shape[0]
     omega = np.eye(n) if omega0 is None else _as_array(omega0).copy()
+    exact = omega0 is None or np.array_equal(omega, omega.T)
     value = _subproblem_value(omega, a_s, lam)
     step = 0.1
     previous = None  # (Omega, G) before the last accepted step
     for _ in range(max_iter):
         inverse = np.linalg.inv(omega)
         grad = inverse / (2.0 * lam) - a_s - omega
-        if not np.all(np.isfinite(grad)):
+        norm = float(np.linalg.norm(grad))
+        # a finite norm proves every entry finite; one that overflowed does not
+        if not math.isfinite(norm) and not np.isfinite(grad).all():
             raise NumericalError("precision update produced non-finite gradient")
-        if float(np.linalg.norm(grad)) <= tol:
+        if norm <= tol:
             break
         if previous is not None:
             s = omega - previous[0]
-            curvature = -float(np.sum(s * (grad - previous[1])))
+            curvature = -float((s * (grad - previous[1])).sum())
             if curvature > 0.0:
-                step = float(np.sum(s * (inverse @ s @ inverse))) / curvature
+                step = float((s * (inverse @ s @ inverse)).sum()) / curvature
         direction = omega @ grad @ omega
         direction = 0.5 * (direction + direction.T)
         # rounding-level slack: near the optimum the true ascent per step drops
@@ -514,14 +518,15 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
         accepted = False
         for _ in range(40):
             trial = omega + step * direction
-            trial = 0.5 * (trial + trial.T)
+            if not exact:
+                trial = 0.5 * (trial + trial.T)
             trial_value = _subproblem_value(trial, a_s, lam)
             # -inf marks a trial that is not PD; it must not pass against a
             # start value of -inf (an omega0 that is not PD)
             if trial_value > -np.inf and trial_value >= value - slack:
                 previous = (omega, grad)
                 omega, value = trial, max(trial_value, value)
-                accepted = True
+                accepted = exact = True
                 break
             step *= 0.5
             if step < 1e-18:

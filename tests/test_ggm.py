@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ggm_select import ggm
+from ggm_select.errors import NumericalError
 from ggm_select.ggm import (
     AuxMatrix,
     GgmMode,
@@ -246,6 +247,32 @@ def test_gradient_route_ill_conditioned_distant_start(lam):
         assert np.linalg.eigvalsh(result.omega)[0] > 0
         assert _block_objective(result.omega, sigma, delta, lam) >= start - 1e-12 * (1 + abs(start))
         assert np.linalg.norm(result.omega - closed) <= 1e-6
+
+
+@pytest.mark.parametrize("start", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])])
+def test_gradient_route_refuses_a_non_finite_gradient(start):
+    with pytest.raises(NumericalError, match="non-finite gradient"):
+        update_precision(np.eye(3), np.zeros((3, 3)), 0.5, omega0=start)
+
+
+def test_gradient_route_passes_a_finite_gradient_whose_norm_overflows():
+    # every entry of G is about -1e200, but ||G||_F overflows to inf; no
+    # trial ascends, so the start comes back
+    start = 1e200 * np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = update_precision(np.eye(3), np.zeros((3, 3)), 0.5, omega0=start).omega
+    assert np.array_equal(omega, start)
+
+
+def test_gradient_route_symmetrizes_an_asymmetric_start():
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal((8, 3))
+    sigma, delta = x.T @ x / 8, rng.standard_normal((3, 3)) * 0.3
+    omega0 = np.eye(3)
+    omega0[0, 1], omega0[1, 0] = 0.3, np.nextafter(0.3, 1.0)  # one ulp apart
+    omega = update_precision(sigma, delta, 0.7, omega0=omega0).omega
+    assert not np.allclose(omega, omega0)
+    assert np.array_equal(omega, omega.T)
 
 
 @pytest.mark.parametrize("top", [2, 3])
