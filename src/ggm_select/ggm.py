@@ -473,12 +473,12 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
     ``inv`` that G needs plus four matrix products; there is no
     eigendecomposition.
 
-    Iterates are exactly symmetric: D is, so a trial is symmetrized only while
-    the iterate is not (an asymmetric ``omega0``, until its first accepted
-    step).  One Cholesky factorization per trial gives both positive
-    definiteness and log det.  A trial that is not positive definite, or that
-    lowers f by more than a rounding-level slack, halves the step (up to 40
-    times, down to a floor of 1e-18), so accepted iterates are PD and ascend.
+    A start that differs from its transpose is symmetrized once; D is exactly
+    symmetric, so every trial Omega + t*D is too.  One Cholesky factorization
+    per trial gives both positive definiteness and log det.  A trial that is
+    not positive definite, or that lowers f by more than a rounding-level
+    slack, halves the step (up to 40 times, down to a floor of 1e-18), so
+    accepted iterates are PD and ascend.
 
     Stops when ||G||_F drops to ``tol``, when no step scale ascends, or after
     ``max_iter`` gradient steps; in every case the last iterate is returned.
@@ -492,7 +492,9 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     n = a_s.shape[0]
     omega = np.eye(n) if omega0 is None else _as_array(omega0).copy()
-    exact = omega0 is None or np.array_equal(omega, omega.T)
+    # only when needed: 0.5*(x + x) overflows for entries past DBL_MAX/2
+    if not np.array_equal(omega, omega.T):
+        omega = 0.5 * (omega + omega.T)
     value = _subproblem_value(omega, a_s, lam)
     step = 0.1
     previous = None  # (Omega, G) before the last accepted step
@@ -518,15 +520,13 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
         accepted = False
         for _ in range(40):
             trial = omega + step * direction
-            if not exact:
-                trial = 0.5 * (trial + trial.T)
             trial_value = _subproblem_value(trial, a_s, lam)
             # -inf marks a trial that is not PD; it must not pass against a
             # start value of -inf (an omega0 that is not PD)
             if trial_value > -np.inf and trial_value >= value - slack:
                 previous = (omega, grad)
                 omega, value = trial, max(trial_value, value)
-                accepted = exact = True
+                accepted = True
                 break
             step *= 0.5
             if step < 1e-18:
