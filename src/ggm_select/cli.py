@@ -1,11 +1,13 @@
 """Command-line interface: prox, solve, simulate, score.
 
-Exit codes: 0 success, 2 invalid input or flags, 3 numerical failure,
-4 I/O failure.  Structured results go to stdout or files as JSON/CSV; logs
-go to stderr at the level named by GGM_SELECT_LOG (error, info, debug;
-default error).  Every file-producing command drops a manifest next to its
-outputs recording the config snapshot, seed, tool version, input digests
-and timestamps, so runs can be audited and reproduced.
+Exit codes: 0 success, 2 invalid input or flags (--param needs --kind;
+--seed and --seeds exclude each other), 3 numerical failure, 4 I/O failure;
+each failure prints one stderr line, "error: <message>".  Structured
+results go to stdout or files as JSON/CSV; logs go to stderr at the level
+named by GGM_SELECT_LOG (error, info, debug; default error), and debug adds
+the failure's traceback.  Every file-producing command drops a manifest
+next to its outputs recording the config snapshot, seed, tool version,
+input digests and timestamps, so runs can be audited and reproduced.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ def _parse_params(pairs) -> dict:
 
 def _surrogate_from_args(args) -> SurrogateSpec:
     if args.kind is None:
+        if args.param:
+            raise ValueError("--param needs --kind")
         return SurrogateSpec.geman(0.5)
     return SurrogateSpec.from_config({"kind": args.kind, "params": _parse_params(args.param)})
 
@@ -304,6 +308,8 @@ def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seeds is not None and args.seed is not None:
+        raise ValueError("--seed and --seeds exclude each other")
     # validate once, before launching any runs, so flag errors surface immediately
     config = PipelineConfig.from_json_file(config_path)
 
@@ -437,24 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# NumericalError subclasses RuntimeError, so no kind here subclasses another
+_EXIT_CODES = {NumericalError: 3, ValueError: 2, OSError: 4}
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
-        log.error("numerical failure: %s", exc)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        log.debug("exit code %d", code, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        log.error("invalid input: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        log.error("i/o failure: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return code
 
 
 if __name__ == "__main__":

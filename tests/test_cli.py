@@ -11,6 +11,7 @@ import pytest
 
 from ggm_select import cli
 from ggm_select.cli import build_parser, main
+from ggm_select.errors import IterationLimitError
 from ggm_select.ggm import load_covariance
 from ggm_select.nodes import SampleSet, sample_statistics
 from ggm_select.pipeline import PipelineConfig
@@ -87,6 +88,21 @@ def test_prox_rejects_bad_param(capsys):
                "--param", "epsilon=abc"])
     assert rc == 2
     assert "not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prox", "solve"])
+def test_param_without_kind_is_refused(tmp_path, capsys, command):
+    if command == "prox":
+        argv = ["prox", "--y", "1", "--lam", "0.5"]
+    else:
+        _write_cov(tmp_path / "eye.csv", np.eye(3))
+        argv = ["solve", "--cov", str(tmp_path / "eye.csv"), "--important", "0",
+                "--out", str(tmp_path / "run")]
+    assert main([*argv, "--param", "bogus=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --param needs --kind\n"
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
 
 
 # ----------------------------------------------------------------------- solve
@@ -566,6 +582,16 @@ def test_simulate_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_simulate_refuses_seed_with_seeds_before_any_run(tmp_path, capsys):
+    config = _small_config(tmp_path)
+    out = tmp_path / "sweep"
+    rc = main(["simulate", "--config", str(config), "--out", str(out),
+               "--seeds", "1", "--seed", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed and --seeds exclude each other\n"
+    assert not out.exists()
+
+
 def test_solve_manifest_records_the_solver_block(tmp_path):
     cov = tmp_path / "cov.csv"
     _write_cov(cov, np.eye(3))
@@ -778,6 +804,51 @@ def test_unknown_log_level_falls_back(tmp_path, monkeypatch, capsys):
     rc = main(["prox", "--y", "1.0", "--lam", "0.25", "--kind", "identity"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["x_star"] == pytest.approx(0.75)
+
+
+def _stalled_pipeline(config):
+    raise IterationLimitError("prox iteration cap of 3 reached")
+
+
+@pytest.mark.parametrize("code", [2, 3, 4])
+def test_a_failure_prints_one_error_line_and_exits_with_its_code(tmp_path, monkeypatch, capsys, code):
+    config = _small_config(tmp_path, **({"typo_key": 1} if code == 2 else {}))
+    if code == 3:
+        monkeypatch.setattr(cli, "run_pipeline", _stalled_pipeline)
+    if code == 4:
+        config = tmp_path / "nope.json"
+    rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    if code == 3:
+        assert captured.err == "error: prox iteration cap of 3 reached\n"
+
+
+@pytest.mark.parametrize("level", [None, "debug"])
+def test_a_failure_reaches_stderr_once_and_debug_adds_its_traceback(tmp_path, monkeypatch, level):
+    # a subprocess: in-process, the log handler keeps the stream it bound first
+    if level is None:
+        monkeypatch.delenv("GGM_SELECT_LOG", raising=False)
+    else:
+        monkeypatch.setenv("GGM_SELECT_LOG", level)
+    missing = tmp_path / "missing.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ggm_select.cli", "solve", "--cov", str(missing),
+         "--important", "0", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    error = f"error: [Errno 2] No such file or directory: {str(missing)!r}"
+    if level == "debug":
+        assert "Traceback (most recent call last):" in lines[:-1]
+        assert lines[-1] == error
+    else:
+        assert lines == [error]
 
 
 @pytest.mark.parametrize("key, new, refused", [
