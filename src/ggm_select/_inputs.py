@@ -16,9 +16,12 @@ integers as ``int``, other numbers as ``float`` and ``true``/``false`` as
 ``bool`` (itself an ``int``).  A reader takes such a value as it was
 written: an integer field refuses a float, a boolean or a string instead
 of truncating it, a number field refuses a boolean or a string instead of
-converting it, a number array holds finite numbers only and a string field
+converting it, a real parameter (:func:`real`) is a finite number >= 0
+(or > 0), a number array holds finite numbers only and a string field
 refuses anything but a string.  :func:`read_object` applies one reader per
 key of a JSON object and names the object and the key in every error.
+The library checks the real parameters it is given in code with
+:func:`real` as well, so a value is refused with the same text either way.
 """
 
 from __future__ import annotations
@@ -50,6 +53,18 @@ def number(value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError("must be a number, got an integer too large for a float") from None
+
+
+def real(value, name: str = "", positive: bool = False) -> float:
+    """``value`` as a float if it is a finite number >= 0, or > 0 with ``positive``.
+
+    The range of every real parameter: tau, lambda, a threshold, a
+    tolerance.  A refusal's message starts with ``name``.
+    """
+    value = number(value)
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}".lstrip())
+    return value
 
 
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer magnitude that float() cannot round to a float

@@ -55,11 +55,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ._inputs import integer, json_file, named, number, number_array, number_table, read_object
+from ._inputs import integer, json_file, named, number_array, number_table, read_object, real
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
@@ -146,18 +147,13 @@ class GgmProblem:
         object.__setattr__(self, "sigma_hat", sigma)
 
         n = sigma.shape[0]
-        idx = tuple(sorted(int(i) for i in self.important_set))
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"important set has duplicates: {idx}")
-        if any(i < 0 or i >= n for i in idx):
-            raise ValueError(f"important set {idx} out of range for n={n}")
+        idx = important_indices(self.important_set, n)
         object.__setattr__(self, "important_set", idx)
         object.__setattr__(self, "mode", GgmMode(self.mode))
         if self.mode is GgmMode.IMPORTANT_ROWS and not idx:
             raise ValueError("important_rows mode needs a nonempty important set")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        _check_lam(self.lam)
+        real(self.tau, "tau")
+        real(self.lam, "lam", positive=True)
         for name, array in zip(("columns", "mask"), _group_structure(n, idx, self.mode)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -167,9 +163,14 @@ class GgmProblem:
         return self.sigma_hat.shape[0]
 
 
-def _check_lam(lam) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
+def important_indices(important_set, n: int) -> tuple:
+    """``important_set`` as a sorted tuple of distinct column indices of an n x n problem."""
+    idx = tuple(sorted(int(i) for i in important_set))
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"important set has duplicates: {idx}")
+    if any(i < 0 or i >= n for i in idx):
+        raise ValueError(f"important set {idx} out of range for n={n}")
+    return idx
 
 
 def _rounding_bound(n: int, norm: float) -> float:
@@ -234,12 +235,11 @@ class PrecisionMatrix:
             np.linalg.cholesky(om)
         except np.linalg.LinAlgError:
             raise ValueError("precision matrix is not positive definite") from None
-        min_eig = float(np.linalg.eigvalsh(om)[0]) if min_eig is None else min_eig
-        if not (math.isfinite(min_eig) and min_eig > 0.0):
-            raise ValueError(f"precision matrix min_eig must be finite and > 0, got {min_eig}")
+        min_eig = np.linalg.eigvalsh(om)[0] if min_eig is None else min_eig
+        min_eig = real(min_eig, "precision matrix min_eig", positive=True)
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "min_eig", float(min_eig))
+        object.__setattr__(self, "min_eig", min_eig)
 
     @classmethod
     def _closed_form(cls, omega: np.ndarray, min_eig: float, logdet: float) -> "PrecisionMatrix":
@@ -285,9 +285,6 @@ class SolverOptions:
             raise ValueError("T must be >= 1")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
-        # JSON configs parse NaN and Infinity
-        if not all(0.0 < v < math.inf for v in (self.inner_tol, self.outer_tol)):
-            raise ValueError("inner_tol and outer_tol must be finite and > 0")
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SolverOptions":
@@ -299,8 +296,8 @@ class SolverOptions:
 
 
 _SOLVER_READERS = {
-    "T": integer, "inner_tol": number, "inner_max_iter": integer,
-    "outer_tol": number, "precision_method": PrecisionMethod,
+    "T": integer, "inner_tol": partial(real, positive=True), "inner_max_iter": integer,
+    "outer_tol": partial(real, positive=True), "precision_method": PrecisionMethod,
 }
 
 
@@ -427,7 +424,7 @@ def update_precision_eig(sigma_hat, delta, lam: float) -> PrecisionMatrix:
     finite eigenvalues (``eigh`` saw a finite matrix), it is built by the
     one construction that skips the finiteness and symmetry checks.
     """
-    _check_lam(lam)
+    real(lam, "lam", positive=True)
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     a, q = np.linalg.eigh(a_s)
     root = np.sqrt(a**2 + 2.0 / lam)
@@ -488,7 +485,7 @@ def update_precision(sigma_hat, delta, lam: float, max_iter: int = 5000, tol: fl
     ``omega0`` seeds the ascent (identity by default); pass the previous
     iterate for warm starts.
     """
-    _check_lam(lam)
+    real(lam, "lam", positive=True)
     a_s = _coefficient_matrix(np.asarray(sigma_hat, dtype=float), _as_array(delta), lam)
     n = a_s.shape[0]
     omega = np.eye(n) if omega0 is None else _as_array(omega0).copy()

@@ -30,6 +30,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,26 +341,32 @@ def select_important(mean, h: int) -> tuple:
     return tuple(sorted(int(i) for i in order[:h]))
 
 
-@dataclass(frozen=True)
-class TensorKey:
-    """Identity of one component tensor: (layer, kind, component index).
-
-    ``kind`` is "A", "B" or "b"; the bias carries no component index.
-    """
-
+class _TensorFields(NamedTuple):
     layer_id: int
     kind: str
     index: int = None
 
-    def __post_init__(self):
-        if self.kind not in (PAIR_A, PAIR_B, BIAS):
-            raise ValueError(f"tensor kind must be A, B or b, got {self.kind!r}")
-        if self.kind == BIAS:
-            object.__setattr__(self, "index", None)
-        elif self.index is None or int(self.index) < 0:
-            raise ValueError(f"tensor {self.kind} needs a component index >= 0")
+
+class TensorKey(_TensorFields):
+    """Identity of one component tensor: (layer, kind, component index).
+
+    ``kind`` is "A", "B" or "b"; the bias carries no component index.  A
+    key is a tuple and equals the plain tuple of its fields, so it hashes
+    and compares at tuple speed in the replay's per-step lookups.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, layer_id: int, kind: str, index: int = None):
+        if kind not in (PAIR_A, PAIR_B, BIAS):
+            raise ValueError(f"tensor kind must be A, B or b, got {kind!r}")
+        if kind == BIAS:
+            index = None
+        elif index is None or int(index) < 0:
+            raise ValueError(f"tensor {kind} needs a component index >= 0")
         else:
-            object.__setattr__(self, "index", int(self.index))
+            index = int(index)
+        return super().__new__(cls, layer_id, kind, index)
 
     def sort_key(self):
         return (self.layer_id, {PAIR_A: 0, PAIR_B: 1, BIAS: 2}[self.kind], self.index or 0)
@@ -517,17 +524,19 @@ def _parse_record(record, where: str):
     return read["step"], key, sens
 
 
-# Helpers parse a dump only if each gets at least this many bytes.  With
-# its number arrays read in array code (_read_file), one process reads a
-# 39 MB dump-l12-shaped dump in about 0.5 s.  On a 2-vCPU x86_64 box (fresh
-# process per read, medians of 7 alternations), two fork helpers against the
-# serial read: 0.19 s against 0.24 s at 13 MB, 0.34 s against 0.43 s at
-# 26 MB, 0.39 s against 0.51 s at 39 MB.  Two spawn helpers (each starts an
-# interpreter importing NumPy and this package) lost at 39 MB: 0.78 s against
-# 0.47 s (medians of 5).  So fork helpers win from 13 MB and spawn helpers
-# not even at 39 MB; one constant serves both, and it stays at the spawn
-# break-even measured with the slower JSON route (40-50 MB for two).  More
-# than two helpers (one per CPU on a larger machine) have not been measured.
+# Helpers parse a dump only if each gets at least this many bytes.  Two
+# helpers against the serial read of a dump-l12-shaped dump, on a 2-vCPU
+# x86_64 box, a fresh process per read (see README "Score dumps"):
+#   13 MB: fork 0.19 s, serial 0.24 s        (medians of 7)
+#   26 MB: fork 0.34 s, serial 0.43 s
+#   39 MB: fork 0.39 s, spawn 0.78 s, serial 0.47-0.51 s
+#   94 MB: fork 0.91-0.94 s, spawn 1.26-1.49 s, serial 1.41-1.52 s (4 reads)
+#  188 MB: fork 1.56-1.89 s, spawn 2.29-2.43 s, serial 2.93-3.29 s
+# A spawned helper starts an interpreter that imports NumPy and this
+# package, so fork helpers win from about 13-26 MB, while spawn helpers
+# lose at 39 MB, tie near 94 MB and win at 188 MB.  One constant serves
+# both, 48 MB for two helpers; a value per start method needs a workload
+# below 48 MB.  More than two helpers have not been measured.
 _HELPER_MIN_BYTES = 24_000_000
 
 

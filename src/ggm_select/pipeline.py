@@ -25,19 +25,20 @@ sequential.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ._inputs import integer, json_file, named, number, read_object, string
+from ._inputs import integer, json_file, named, read_object, real, string
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
     GgmProblem,
     SolverOptions,
     SolverReport,
+    important_indices,
     solve_ggm,
 )
 from .nodes import (
@@ -147,25 +148,19 @@ def select_trainable(report: SolverReport, important_set, budget=None, threshold
     if (budget is None) == (threshold is None):
         raise ValueError("supply exactly one of budget or threshold")
     norms = np.asarray(report.group_norms, dtype=float)
-    n = norms.size
-    important = tuple(sorted(int(i) for i in important_set))
-    if any(i < 0 or i >= n for i in important):
-        raise ValueError(f"important set {important} out of range for n={n}")
-    is_frozen = np.ones(n, dtype=bool)
+    important = important_indices(important_set, norms.size)
+    is_frozen = np.ones(norms.size, dtype=bool)
     is_frozen[list(important)] = False
     candidates = np.flatnonzero(is_frozen)
     if budget is not None:
-        budget = int(budget)
+        budget = integer(budget)
         if not 0 <= budget <= candidates.size:
             raise ValueError(f"budget {budget} outside [0, {candidates.size}]")
         # stable sort keeps lower indices first among equal norms, as select_important does
         ranked = candidates[np.argsort(-norms[candidates], kind="stable")]
         selected = np.sort(ranked[:budget])
     else:
-        threshold = float(threshold)
-        if not (math.isfinite(threshold) and threshold >= 0.0):
-            raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-        selected = candidates[norms[candidates] > threshold]
+        selected = candidates[norms[candidates] > real(threshold, "threshold")]
     is_frozen[selected] = False
     return SelectionResult(
         important_set=important,
@@ -188,8 +183,7 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
         raise ValueError("n, h and m must be >= 1 and k_connected >= 0")
     if h + k_connected > n:
         raise ValueError(f"h + k_connected = {h + k_connected} exceeds n = {n}")
-    if not (math.isfinite(coupling) and coupling >= 0.0):
-        raise ValueError(f"coupling must be finite and >= 0, got {coupling}")
+    real(coupling, "coupling")
 
     rng = np.random.default_rng(seed)
     important = tuple(range(h))
@@ -234,7 +228,7 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
 
 
 def _selection(payload) -> dict:
-    chosen = read_object(payload, "selection", {"budget": integer, "threshold": number})
+    chosen = read_object(payload, "selection", {"budget": integer, "threshold": real})
     return {"selection_budget": chosen.get("budget"),
             "selection_threshold": chosen.get("threshold")}
 
@@ -242,9 +236,10 @@ def _selection(payload) -> dict:
 # config key -> reader; a reader's result goes to the field of the same name,
 # except where _CONFIG_FIELDS renames it ("selection" fills two fields)
 _CONFIG_READERS = {
-    "mode": string, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": number,
-    "lambda": number, "selection": _selection, "solver": SolverOptions.from_json_dict,
-    "n": integer, "k_connected": integer, "coupling": number, "m": integer, "seed": integer,
+    "mode": string, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": real,
+    "lambda": partial(real, positive=True), "selection": _selection,
+    "solver": SolverOptions.from_json_dict, "n": integer, "k_connected": integer,
+    "coupling": real, "m": integer, "seed": integer,
     "dump": string, "beta1": ema_weight, "beta2": ema_weight, "ggm_mode": GgmMode,
 }
 _CONFIG_FIELDS = {"lambda": "lam", "dump": "dump_dir"}
@@ -297,10 +292,12 @@ class PipelineConfig:
         """Read a config object with one reader per key (``_CONFIG_READERS``).
 
         Integer keys take JSON integers only and number keys JSON numbers
-        only (never a boolean or a string); ``selection``, ``solver`` and
-        ``surrogate`` are objects read the same way.  Unknown keys, missing
-        required keys and values of the wrong type raise ValueError naming
-        the key.
+        only (never a boolean or a string), and the real parameters (``tau``,
+        ``lambda``, ``coupling``, ``selection.threshold``, the solver
+        tolerances) must be in :func:`._inputs.real`'s range.  ``selection``,
+        ``solver`` and ``surrogate`` are objects read the same way.  Unknown
+        keys, missing required keys and values of the wrong type or out of
+        range raise ValueError naming the key.
         """
         read = read_object(payload, "config", _CONFIG_READERS,
                            required=("mode", "h", "surrogate", "tau", "lambda", "selection"))

@@ -32,6 +32,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._inputs import real
 from .errors import IterationLimitError, NumericalError
 from .surrogates import SurrogateSpec, breakpoint_a0, eval_g, grad_g
 
@@ -72,12 +73,9 @@ class ProxProblem:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.y) and self.y >= 0.0):
-            raise ValueError(f"y must be finite and >= 0, got {self.y}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        real(self.y, "y")
+        real(self.lam, "lam", positive=True)
+        real(self.tol, "tol", positive=True)
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,7 @@ def solve_threshold_batch(y, lam: float, g: SurrogateSpec, tol: float = 1e-10,
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y) & (y >= 0.0)):
         raise ValueError("y must be finite and >= 0")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    real(tol, "tol", positive=True)
     a0 = breakpoint_a0(g, lam)
     # y = 0 thresholds to 0 without iterating (lp's g' has a pole there)
     live = y > 0.0

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._inputs import number, read_object
+from ._inputs import number, read_object, real
 
 __all__ = ["SurrogateKind", "SurrogateSpec", "eval_g", "grad_g", "second_deriv_g",
            "breakpoint_a0"]
@@ -220,6 +220,5 @@ def breakpoint_a0(g: SurrogateSpec, lam: float) -> float:
     |g''| is decreasing for every supported kind, so the equation has at most
     one positive root, and each kind's entry gives it in closed form.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
+    real(lam, "lam", positive=True)
     return _KINDS[g.kind].a0(lam, *g.params.values())

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -560,6 +561,28 @@ def test_betas_outside_the_ema_range_are_refused_before_the_dump_is_read(tmp_pat
     assert main(["score", "--dump", missing, f"--{key}", str(beta),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert f"--{key} must be in [0, 1), got {beta}" in capsys.readouterr().err
+
+
+# key -> the config object holding it, and whether 0 is refused too
+_REAL_KEYS = {"tau": (None, False), "lambda": (None, True), "coupling": (None, False),
+              "threshold": ("selection", False), "inner_tol": ("solver", True),
+              "outer_tol": ("solver", True)}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key, (_, positive) in _REAL_KEYS.items()
+    for value in [-1.0, math.nan, math.inf] + [0.0] * positive
+])
+def test_real_parameters_out_of_range_are_refused_when_the_config_is_read(tmp_path, capsys, key, value):
+    missing = tmp_path / "no_dump"  # a run that reached any stage would report it
+    where, positive = _REAL_KEYS[key]
+    config = _small_config(tmp_path, mode="dump", dump=str(missing),
+                           **({where: {key: value}} if where else {key: value}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: config key {where or key!r}: ")
+    assert f"key {key!r}: must be finite and {'>' if positive else '>='} 0, got {value}\n" in err
+    assert str(missing) not in err
 
 
 @pytest.mark.parametrize("seeds, repeated", [("1,1", 1), ("2,1,3,1,2", 2)])

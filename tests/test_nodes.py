@@ -1,4 +1,5 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,28 @@ def test_layer_shape_bounds():
         LayerShape(0, 2, 3, 0)
     with pytest.raises(ValueError):
         LayerShape(0, 2, 3, 3)
+
+
+def test_tensor_key_is_the_tuple_of_its_fields():
+    key = TensorKey(3, "A", np.int64(2))
+    assert key == (3, "A", 2) and hash(key) == hash((3, "A", 2))
+    assert type(key.index) is int
+    assert TensorKey(3, "b", 7) == (3, "b", None)
+    assert {(3, "A", 2): 1}[key] == 1
+    assert repr(key) == "TensorKey(layer_id=3, kind='A', index=2)"
+    with pytest.raises(AttributeError):
+        key.index = 1
+
+
+def test_tensor_key_survives_pickling_and_keeps_its_refusals():
+    key = TensorKey(1, "B", 0)
+    copy = pickle.loads(pickle.dumps(key))
+    assert copy == key and type(copy) is TensorKey
+    with pytest.raises(ValueError, match="tensor kind must be A, B or b, got 'C'"):
+        TensorKey(0, "C", 0)
+    for index in (None, -1):
+        with pytest.raises(ValueError, match="tensor A needs a component index >= 0"):
+            TensorKey(0, "A", index)
 
 
 # --------------------------------------------------------------------- replay

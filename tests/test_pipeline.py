@@ -101,6 +101,25 @@ def test_selection_partitions_nodes():
     assert merged == list(range(5))
 
 
+def test_selection_refuses_a_repeated_important_index_as_the_problem_does():
+    report = _report_with_norms([0.0, 0.5, 0.1])
+    with pytest.raises(ValueError, match=r"^important set has duplicates: \(0, 0\)$"):
+        select_trainable(report, (0, 0), budget=1)
+
+
+def test_selection_budget_must_be_an_integer():
+    report = _report_with_norms([0.0, 0.5, 0.1, 0.9])
+    with pytest.raises(TypeError, match="must be an integer, got 2.7"):
+        select_trainable(report, (0,), budget=2.7)
+    assert select_trainable(report, (0,), budget=np.int64(2)).solver_selected == (1, 3)
+
+
+def test_selection_threshold_must_be_a_number():
+    report = _report_with_norms([0.0, 0.5, 0.1])
+    with pytest.raises(TypeError, match="must be a number, got '0.15'"):
+        select_trainable(report, (0,), threshold="0.15")
+
+
 def test_selection_result_rejects_overlap():
     with pytest.raises(ValueError):
         SelectionResult((0,), (0, 1), (2,), np.zeros(3))
