@@ -14,14 +14,16 @@ covariance ``data`` and dump ``values`` and ``grads``, which
 :func:`number_array` turns into float64 NumPy arrays.  ``json`` gives
 integers as ``int``, other numbers as ``float`` and ``true``/``false`` as
 ``bool`` (itself an ``int``).  A reader takes such a value as it was
-written: an integer field refuses a float, a boolean or a string instead
-of truncating it, a number field refuses a boolean or a string instead of
+written: an integer field (:func:`integer`) refuses a float, a boolean or
+a string instead of truncating it, and an integer parameter is at least
+its ``minimum``; a number field refuses a boolean or a string instead of
 converting it, a real parameter (:func:`real`) is a finite number >= 0
 (or > 0), a number array holds finite numbers only and a string field
 refuses anything but a string.  :func:`read_object` applies one reader per
 key of a JSON object and names the object and the key in every error.
 The library checks the real parameters it is given in code with
-:func:`real` as well, so a value is refused with the same text either way.
+:func:`real` as well, and the planted sizes and the solver's caps with
+:func:`integer`, so such a value is refused by the same rule either way.
 """
 
 from __future__ import annotations
@@ -36,13 +38,21 @@ from pathlib import Path
 import numpy as np
 
 
-def integer(value) -> int:
-    """A JSON integer as is: a float or a boolean is refused, not truncated."""
-    if type(value) is int:  # what json gives; skips the slower abstract-class check
+def integer(value, name: str = "", minimum: int = None) -> int:
+    """A JSON integer as is: a float or a boolean is refused, not truncated.
+
+    The range of every integer parameter: h, n, a budget, T.  With
+    ``minimum``, a value below it is refused with a message that starts
+    with ``name``.
+    """
+    if type(value) is int and minimum is None:  # what json gives; skips the slower checks
         return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}".lstrip())
+    return value
 
 
 def number(value) -> float:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._inputs import number_table
+from ._inputs import integer, number_table
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
@@ -306,8 +306,7 @@ def _simulate_one(config: PipelineConfig, out_dir: str, config_path: str) -> dic
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    integer(args.jobs, "--jobs", minimum=1)
     if args.seeds is not None and args.seed is not None:
         raise ValueError("--seed and --seeds exclude each other")
     # validate once, before launching any runs, so flag errors surface immediately

@@ -135,14 +135,9 @@ class GgmProblem:
 
     def __post_init__(self):
         sigma = _square_finite(self.sigma_hat, "covariance")
-        if sigma.size:
-            eigs = np.linalg.eigvalsh(sigma)
-            bound = _rounding_bound(sigma.shape[0], max(-eigs[0], eigs[-1]))
-            asym = float(np.max(np.abs(sigma - sigma.T)))
-            if asym > bound:
-                raise ValueError(f"covariance not symmetric (max asymmetry {asym:.3e})")
-            if eigs[0] < -bound:
-                raise ValueError("covariance is not positive semidefinite")
+        eigs, bound = _symmetric_spectrum(sigma, "covariance")
+        if eigs[0] < -bound:
+            raise ValueError("covariance is not positive semidefinite")
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma_hat", sigma)
 
@@ -163,13 +158,16 @@ class GgmProblem:
         return self.sigma_hat.shape[0]
 
 
-def important_indices(important_set, n: int) -> tuple:
-    """``important_set`` as a sorted tuple of distinct column indices of an n x n problem."""
+def important_indices(important_set, n: int, what: str = "important set") -> tuple:
+    """``important_set`` as a sorted tuple of distinct column indices of an n x n problem.
+
+    ``what`` names the set in a refusal.
+    """
     idx = tuple(sorted(int(i) for i in important_set))
     if len(set(idx)) != len(idx):
-        raise ValueError(f"important set has duplicates: {idx}")
+        raise ValueError(f"{what} has duplicates: {idx}")
     if any(i < 0 or i >= n for i in idx):
-        raise ValueError(f"important set {idx} out of range for n={n}")
+        raise ValueError(f"{what} {idx} out of range for n={n}")
     return idx
 
 
@@ -186,13 +184,28 @@ def _rounding_bound(n: int, norm: float) -> float:
 
 
 def _square_finite(mat, what: str) -> np.ndarray:
-    """``mat`` as a float array; ``what`` names it in the refusal of a non-square or non-finite one."""
+    """``mat`` as a float array; ``what`` names it in the refusal of a non-square, empty or non-finite one."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be square, got shape {mat.shape}")
+    if not mat.size:
+        raise ValueError(f"{what} must not be empty, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{what} contains non-finite entries")
     return mat
+
+
+def _symmetric_spectrum(mat: np.ndarray, what: str) -> tuple:
+    """The eigenvalues of the square ``mat`` and :func:`_rounding_bound` at its 2-norm.
+
+    An asymmetry past that bound is refused, naming the matrix by ``what``.
+    """
+    eigs = np.linalg.eigvalsh(mat)
+    bound = _rounding_bound(mat.shape[0], max(-eigs[0], eigs[-1]))
+    asym = float(np.max(np.abs(mat - mat.T)))
+    if asym > bound:
+        raise ValueError(f"{what} not symmetric (max asymmetry {asym:.3e})")
+    return eigs, bound
 
 
 @dataclass(frozen=True)
@@ -281,10 +294,6 @@ class SolverOptions:
     def __post_init__(self):
         for name, value in read_object(vars(self), "solver", _SOLVER_READERS).items():
             object.__setattr__(self, name, value)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be >= 1")
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "SolverOptions":
@@ -296,7 +305,8 @@ class SolverOptions:
 
 
 _SOLVER_READERS = {
-    "T": integer, "inner_tol": partial(real, positive=True), "inner_max_iter": integer,
+    "T": partial(integer, minimum=1), "inner_tol": partial(real, positive=True),
+    "inner_max_iter": partial(integer, minimum=1),
     "outer_tol": partial(real, positive=True), "precision_method": PrecisionMethod,
 }
 
@@ -734,7 +744,7 @@ def load_covariance(path) -> np.ndarray:
         with named(path):
             payload = read_object(
                 payload, "covariance JSON",
-                {"n": integer, "data": number_array},
+                {"n": partial(integer, minimum=1), "data": number_array},
                 required=("n", "data"), closed=False,
             )
             n, data = payload["n"], payload["data"]

@@ -38,6 +38,8 @@ from .ggm import (
     GgmProblem,
     SolverOptions,
     SolverReport,
+    _square_finite,
+    _symmetric_spectrum,
     important_indices,
     solve_ggm,
 )
@@ -113,7 +115,12 @@ class SelectionResult:
 
 @dataclass(frozen=True)
 class PlantedProblem:
-    """Ground truth of a synthetic problem: the true precision and support."""
+    """Ground truth of a synthetic problem: the true precision and support.
+
+    ``omega_true`` must be square, finite, symmetric up to the rounding
+    bound :class:`.ggm.GgmProblem` applies, and positive definite.  Each
+    index set holds distinct indices in range; both keep the order given.
+    """
 
     omega_true: np.ndarray
     important_set: tuple
@@ -122,10 +129,13 @@ class PlantedProblem:
     m: int
 
     def __post_init__(self):
-        omega = np.asarray(self.omega_true, dtype=float)
+        omega = _square_finite(self.omega_true, "planted precision")
         important = tuple(int(i) for i in self.important_set)
         connected = tuple(int(i) for i in self.true_connected)
-        if float(np.linalg.eigvalsh(omega)[0]) <= 0.0:
+        important_indices(important, omega.shape[0])
+        important_indices(connected, omega.shape[0], "connected set")
+        eigs, _ = _symmetric_spectrum(omega, "planted precision")
+        if eigs[0] <= 0.0:
             raise ValueError("planted precision must be positive definite")
         stray = omega[list(important)] != 0.0
         stray[:, list(important + connected)] = False
@@ -179,8 +189,8 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
     covariance inv(omega_true), shifted into the nonnegative range, with the
     important columns boosted by +1 so their sample mean stands out.
     """
-    if n < 1 or h < 1 or k_connected < 0 or m < 1:
-        raise ValueError("n, h and m must be >= 1 and k_connected >= 0")
+    n, h, m = integer(n, "n", minimum=1), integer(h, "h", minimum=1), integer(m, "m", minimum=1)
+    k_connected = integer(k_connected, "k_connected", minimum=0)
     if h + k_connected > n:
         raise ValueError(f"h + k_connected = {h + k_connected} exceeds n = {n}")
     real(coupling, "coupling")
@@ -228,7 +238,7 @@ def make_planted(n: int, h: int, k_connected: int, coupling: float, m: int, seed
 
 
 def _selection(payload) -> dict:
-    chosen = read_object(payload, "selection", {"budget": integer, "threshold": real})
+    chosen = read_object(payload, "selection", {"budget": partial(integer, minimum=0), "threshold": real})
     return {"selection_budget": chosen.get("budget"),
             "selection_threshold": chosen.get("threshold")}
 
@@ -236,18 +246,24 @@ def _selection(payload) -> dict:
 # config key -> reader; a reader's result goes to the field of the same name,
 # except where _CONFIG_FIELDS renames it ("selection" fills two fields)
 _CONFIG_READERS = {
-    "mode": string, "h": integer, "surrogate": SurrogateSpec.from_config, "tau": real,
+    "mode": string, "h": partial(integer, minimum=1), "surrogate": SurrogateSpec.from_config, "tau": real,
     "lambda": partial(real, positive=True), "selection": _selection,
-    "solver": SolverOptions.from_json_dict, "n": integer, "k_connected": integer,
-    "coupling": real, "m": integer, "seed": integer,
-    "dump": string, "beta1": ema_weight, "beta2": ema_weight, "ggm_mode": GgmMode,
+    "solver": SolverOptions.from_json_dict, "n": partial(integer, minimum=1),
+    "k_connected": partial(integer, minimum=0), "coupling": real, "m": partial(integer, minimum=2),
+    "seed": integer, "dump": string, "beta1": ema_weight, "beta2": ema_weight, "ggm_mode": GgmMode,
 }
 _CONFIG_FIELDS = {"lambda": "lam", "dump": "dump_dir"}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated run configuration; mirrors the JSON config file."""
+    """Validated run configuration; mirrors the JSON config file.
+
+    :meth:`from_json_dict` checks every value's range as it reads it.  A
+    config built in code has its integer and real parameters checked where
+    the library uses them (``make_planted``, ``select_important``,
+    ``sample_statistics``, the solve).
+    """
 
     mode: str
     h: int
@@ -272,14 +288,10 @@ class PipelineConfig:
             raise ValueError(f"mode must be 'planted' or 'dump', got {self.mode!r}")
         if (self.selection_budget is None) == (self.selection_threshold is None):
             raise ValueError("selection needs exactly one of budget or threshold")
-        if self.h < 1:
-            raise ValueError("h must be >= 1")
         if self.mode == "planted":
             for name in ("n", "k_connected", "coupling", "m"):
                 if getattr(self, name) is None:
                     raise ValueError(f"planted mode requires {name!r}")
-            if self.m < 2:
-                raise ValueError("planted mode needs m >= 2 for a covariance")
             if self.seed < 0:
                 raise ValueError(f"planted mode needs seed >= 0, got {self.seed}")
         else:
@@ -292,7 +304,10 @@ class PipelineConfig:
         """Read a config object with one reader per key (``_CONFIG_READERS``).
 
         Integer keys take JSON integers only and number keys JSON numbers
-        only (never a boolean or a string), and the real parameters (``tau``,
+        only (never a boolean or a string).  The integer parameters must be
+        at least their :func:`._inputs.integer` minimum (``h``, ``n``,
+        ``solver.T`` and ``solver.inner_max_iter`` 1, ``k_connected`` and
+        ``selection.budget`` 0, ``m`` 2), and the real parameters (``tau``,
         ``lambda``, ``coupling``, ``selection.threshold``, the solver
         tolerances) must be in :func:`._inputs.real`'s range.  ``selection``,
         ``solver`` and ``surrogate`` are objects read the same way.  Unknown

@@ -209,8 +209,7 @@ def oracle_threshold(problem: ProxProblem, grid_step: float) -> float:
     :func:`solve_threshold`.  A grid of more than ``ORACLE_MAX_POINTS``
     points is refused.
     """
-    if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    grid_step = real(grid_step, "grid_step", positive=True)
     y = problem.y
     if y / grid_step > ORACLE_MAX_POINTS:
         raise ValueError(f"grid_step {grid_step} makes a grid of {y / grid_step:.3g} points on [0, {y}], "

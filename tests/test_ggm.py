@@ -515,6 +515,18 @@ def test_problem_refuses_an_asymmetric_covariance_at_every_scale():
                        SurrogateSpec.identity())
 
 
+def test_problem_refuses_an_empty_covariance():
+    with pytest.raises(ValueError, match=r"^covariance must not be empty, got shape \(0, 0\)$"):
+        GgmProblem(np.zeros((0, 0)), (), 0.1, 1.0, SurrogateSpec.geman(0.5), mode="full_offdiag")
+
+
+def test_empty_matrices_are_refused_by_name():
+    with pytest.raises(ValueError, match=r"^precision matrix must not be empty, got shape \(0, 0\)$"):
+        PrecisionMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^auxiliary matrix must not be empty, got shape \(0, 0\)$"):
+        AuxMatrix(np.zeros((0, 0)))
+
+
 def test_problem_rejects_duplicate_and_out_of_range_indices():
     with pytest.raises(ValueError):
         GgmProblem(np.eye(3), (1, 1), 0.1, 1.0, SurrogateSpec.identity())

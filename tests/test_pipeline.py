@@ -207,6 +207,28 @@ def test_planted_problem_names_the_first_unexpected_coupling():
     assert problem.important_set == (0, 2)
 
 
+@pytest.mark.parametrize("omega, refused", [
+    ([[1.0, 5.0], [0.0, 1.0]], r"^planted precision not symmetric \(max asymmetry 5\.000e\+00\)$"),
+    ([[1.0, np.inf], [np.inf, 1.0]], "^planted precision contains non-finite entries$"),
+    (np.ones((2, 3)), r"^planted precision must be square, got shape \(2, 3\)$"),
+], ids=["asymmetric", "infinite", "not_square"])
+def test_planted_problem_refuses_a_matrix_the_problem_would_refuse(omega, refused):
+    with pytest.raises(ValueError, match=refused):
+        PlantedProblem(np.array(omega), important_set=(0,), true_connected=(1,), seed=0, m=1)
+
+
+@pytest.mark.parametrize("important, connected, refused", [
+    ((0, 0), (1,), r"^important set has duplicates: \(0, 0\)$"),
+    ((5,), (1,), r"^important set \(5,\) out of range for n=2$"),
+    ((0,), (1, 1), r"^connected set has duplicates: \(1, 1\)$"),
+    ((0,), (5,), r"^connected set \(5,\) out of range for n=2$"),
+    ((0,), (-1,), r"^connected set \(-1,\) out of range for n=2$"),
+])
+def test_planted_problem_refuses_a_repeated_or_out_of_range_index(important, connected, refused):
+    with pytest.raises(ValueError, match=refused):
+        PlantedProblem(np.eye(2), important_set=important, true_connected=connected, seed=0, m=1)
+
+
 def test_planted_rejects_bad_sizes():
     with pytest.raises(ValueError):
         make_planted(n=4, h=3, k_connected=3, coupling=0.1, m=10, seed=0)

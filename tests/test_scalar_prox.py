@@ -126,6 +126,12 @@ def test_oracle_rejects_bad_step():
         oracle_threshold(ProxProblem(y=1.0, lam=1.0, g=SurrogateSpec.identity()), grid_step=0.0)
 
 
+@pytest.mark.parametrize("step", [np.inf, np.nan, -1e-3, 0.0])
+def test_oracle_refuses_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValueError, match=f"^grid_step must be finite and > 0, got {step}$"):
+        oracle_threshold(ProxProblem(y=1.0, lam=1.0, g=SurrogateSpec.identity()), grid_step=step)
+
+
 # ----------------------------------------------------------- solution structure
 
 
