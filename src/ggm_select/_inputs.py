@@ -24,6 +24,13 @@ key of a JSON object and names the object and the key in every error.
 The library checks the real parameters it is given in code with
 :func:`real` as well, and the planted sizes and the solver's caps with
 :func:`integer`, so such a value is refused by the same rule either way.
+
+The arrays a value type holds (the samples, the EMA state, Sigma_hat,
+Omega, Delta, the planted precision, the group norms) follow one rule
+too: :func:`float_array` takes each as a float64 array of finite numbers,
+square and nonempty or 2-D where the type asks for that, and
+:func:`read_only` stores it on the frozen dataclass with its writeable
+flag cleared, so a value, once built, never changes.
 """
 
 from __future__ import annotations
@@ -115,6 +122,31 @@ def number_array(value, booleans: bool = True) -> np.ndarray:
         index = int(np.argmin(finite))
         raise ValueError(f"must be finite, got {array[index]} at element {index}")
     return array
+
+
+def float_array(value, name: str, ndim: int = None, square: bool = False) -> np.ndarray:
+    """``value`` as a float64 array of finite numbers; ``name`` starts each refusal.
+
+    ``ndim`` asks for that many dimensions and ``square`` for a nonempty
+    square matrix.  A float64 array is taken as is, not copied.
+    """
+    array = np.asarray(value, dtype=float)
+    if square and (array.ndim != 2 or array.shape[0] != array.shape[1]):
+        raise ValueError(f"{name} must be square, got shape {array.shape}")
+    if square and not array.size:
+        raise ValueError(f"{name} must not be empty, got shape {array.shape}")
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={array.ndim}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return array
+
+
+def read_only(value, **arrays) -> None:
+    """Store each of ``arrays`` as the attribute of its name on the frozen dataclass ``value``, read-only."""
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(value, name, array)
 
 
 def string(value) -> str:

@@ -321,6 +321,9 @@ def cmd_simulate(args) -> int:
         if repeated:
             # every run of a seed writes the same seed_<n>/ directory
             raise ValueError(f"--seeds repeats seed {repeated[0]}")
+        if config.mode == "dump" and len(seeds) > 1:
+            # a dump run uses no seed: every run would write the same outputs
+            raise ValueError(f"--seeds lists {len(seeds)} seeds, but a dump run uses no seed")
         runs = [(seed, str(out_root / f"seed_{seed}")) for seed in seeds]
     else:
         seed = args.seed if args.seed is not None else config.seed

@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import integer, json_file, named, number_array, number_table, read_object, real
+from ._inputs import float_array, integer, json_file, named, number_array, number_table, read_object, read_only, real
 from .errors import NumericalError
 # solve_threshold is unused here but must stay importable as
 # ggm.solve_threshold: perfbench/tracer.py wraps that attribute by name
@@ -134,12 +134,10 @@ class GgmProblem:
     mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = _square_finite(self.sigma_hat, "covariance")
+        sigma = float_array(self.sigma_hat, "covariance", square=True)
         eigs, bound = _symmetric_spectrum(sigma, "covariance")
         if eigs[0] < -bound:
             raise ValueError("covariance is not positive semidefinite")
-        sigma.flags.writeable = False
-        object.__setattr__(self, "sigma_hat", sigma)
 
         n = sigma.shape[0]
         idx = important_indices(self.important_set, n)
@@ -149,9 +147,8 @@ class GgmProblem:
             raise ValueError("important_rows mode needs a nonempty important set")
         real(self.tau, "tau")
         real(self.lam, "lam", positive=True)
-        for name, array in zip(("columns", "mask"), _group_structure(n, idx, self.mode)):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        columns, mask = _group_structure(n, idx, self.mode)
+        read_only(self, sigma_hat=sigma, columns=columns, mask=mask)
 
     @property
     def n(self) -> int:
@@ -181,18 +178,6 @@ def _rounding_bound(n: int, norm: float) -> float:
     every scale.
     """
     return ROUNDING_FACTOR * n * np.finfo(float).eps * float(norm)
-
-
-def _square_finite(mat, what: str) -> np.ndarray:
-    """``mat`` as a float array; ``what`` names it in the refusal of a non-square, empty or non-finite one."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {mat.shape}")
-    if not mat.size:
-        raise ValueError(f"{what} must not be empty, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return mat
 
 
 def _symmetric_spectrum(mat: np.ndarray, what: str) -> tuple:
@@ -235,7 +220,7 @@ class PrecisionMatrix:
     logdet: float = field(default=None, repr=False)
 
     def __post_init__(self):
-        om = _square_finite(self.omega, "precision matrix")
+        om = float_array(self.omega, "precision matrix", square=True)
         asym = float(np.max(np.abs(om - om.T)))
         # ||Omega||_F bounds the 2-norm without a decomposition
         if asym > _rounding_bound(om.shape[0], np.linalg.norm(om)):
@@ -249,10 +234,8 @@ class PrecisionMatrix:
         except np.linalg.LinAlgError:
             raise ValueError("precision matrix is not positive definite") from None
         min_eig = np.linalg.eigvalsh(om)[0] if min_eig is None else min_eig
-        min_eig = real(min_eig, "precision matrix min_eig", positive=True)
-        om.flags.writeable = False
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "min_eig", min_eig)
+        object.__setattr__(self, "min_eig", real(min_eig, "precision matrix min_eig", positive=True))
+        read_only(self, omega=om)
 
     @classmethod
     def _closed_form(cls, omega: np.ndarray, min_eig: float, logdet: float) -> "PrecisionMatrix":
@@ -274,9 +257,7 @@ class AuxMatrix:
     delta: np.ndarray
 
     def __post_init__(self):
-        d = _square_finite(self.delta, "auxiliary matrix")
-        d.flags.writeable = False
-        object.__setattr__(self, "delta", d)
+        read_only(self, delta=float_array(self.delta, "auxiliary matrix", square=True))
 
 
 @dataclass(frozen=True)
@@ -322,6 +303,8 @@ class SolverReport:
     ``min(1/diag)`` for the diagonal start, then each iterate's
     ``PrecisionMatrix.min_eig`` (on the eigen route, the least eigenvalue of
     the closed form).  It is not written to ``report.json``.
+    Both are float64 arrays of finite numbers and read-only from the start,
+    so no later reader of the report (a selection) can change it.
     """
 
     omega_star: PrecisionMatrix
@@ -330,6 +313,11 @@ class SolverReport:
     iterations: int
     group_norms: np.ndarray = field(repr=False)
     min_eig_trace: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        read_only(self, group_norms=float_array(self.group_norms, "group_norms"))
+        if self.min_eig_trace is not None:
+            read_only(self, min_eig_trace=float_array(self.min_eig_trace, "min_eig_trace"))
 
     def to_json_dict(self) -> dict:
         """The ``report.json`` payload; ``omega`` and ``group_norms`` stay 1-D arrays.
@@ -732,7 +720,7 @@ def solve_ggm(problem: GgmProblem, opts: SolverOptions = SolverOptions()) -> Sol
         converged=converged,
         iterations=iterations,
         group_norms=compute_group_norms(precision, problem),
-        min_eig_trace=np.asarray(min_eigs),
+        min_eig_trace=min_eigs,
     )
 
 

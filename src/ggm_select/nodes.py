@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csv import BLOCK_VALUES, format_rows
-from ._inputs import integer, json_file, number, number_array, read_object, string
+from ._inputs import float_array, integer, json_file, number, number_array, read_object, read_only, string
 from .errors import NumericalError
 
 __all__ = [
@@ -197,20 +197,15 @@ class ImportanceState:
     beta2: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        spread = np.asarray(self.spread, dtype=float)
+        mean = float_array(self.mean, "EMA state")
+        spread = float_array(self.spread, "EMA state")
         if mean.shape != spread.shape:
             raise ValueError("mean/spread shape mismatch")
         ema_weight(self.beta1, "beta1")
         ema_weight(self.beta2, "beta2")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(spread))):
-            raise ValueError("EMA state contains non-finite entries")
         if np.any(mean < 0) or np.any(spread < 0):
             raise ValueError("EMA state must be nonnegative")
-        mean.flags.writeable = False
-        spread.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "spread", spread)
+        read_only(self, mean=mean, spread=spread)
 
     @classmethod
     def zeros(cls, shape, beta1: float, beta2: float) -> "ImportanceState":
@@ -264,11 +259,7 @@ class SampleSet:
     layout: NodeLayout = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"sample matrix must be 2-D, got ndim={values.ndim}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample matrix contains non-finite entries")
+        values = float_array(self.values, "sample matrix", ndim=2)
         if np.any(values < 0):
             raise ValueError("node values must be nonnegative")
         names = tuple(str(name) for name in self.names)
@@ -276,8 +267,7 @@ class SampleSet:
             raise ValueError(f"{len(names)} names for {values.shape[1]} columns")
         if len(set(names)) != len(names):
             raise ValueError("node names must be unique")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        read_only(self, values=values)
         object.__setattr__(self, "names", names)
 
     @property

@@ -31,14 +31,13 @@ from functools import partial
 
 import numpy as np
 
-from ._inputs import integer, json_file, named, read_object, real, string
+from ._inputs import float_array, integer, json_file, named, read_object, read_only, real, string
 from .errors import NumericalError
 from .ggm import (
     GgmMode,
     GgmProblem,
     SolverOptions,
     SolverReport,
-    _square_finite,
     _symmetric_spectrum,
     important_indices,
     solve_ggm,
@@ -96,9 +95,7 @@ class SelectionResult:
         object.__setattr__(self, "important_set", important)
         object.__setattr__(self, "solver_selected", selected)
         object.__setattr__(self, "frozen", frozen)
-        scores = np.asarray(self.scores, dtype=float)
-        scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
+        read_only(self, scores=float_array(self.scores, "scores"))
 
     @property
     def trainable(self) -> tuple:
@@ -129,7 +126,7 @@ class PlantedProblem:
     m: int
 
     def __post_init__(self):
-        omega = _square_finite(self.omega_true, "planted precision")
+        omega = float_array(self.omega_true, "planted precision", square=True)
         important = tuple(int(i) for i in self.important_set)
         connected = tuple(int(i) for i in self.true_connected)
         important_indices(important, omega.shape[0])
@@ -142,8 +139,7 @@ class PlantedProblem:
         if stray.any():
             row, i = np.argwhere(stray)[0]
             raise ValueError(f"unexpected coupling at ({important[row]}, {i})")
-        omega.flags.writeable = False
-        object.__setattr__(self, "omega_true", omega)
+        read_only(self, omega_true=omega)
         object.__setattr__(self, "important_set", important)
         object.__setattr__(self, "true_connected", connected)
 
@@ -157,7 +153,7 @@ def select_trainable(report: SolverReport, important_set, budget=None, threshold
     """
     if (budget is None) == (threshold is None):
         raise ValueError("supply exactly one of budget or threshold")
-    norms = np.asarray(report.group_norms, dtype=float)
+    norms = report.group_norms
     important = important_indices(important_set, norms.size)
     is_frozen = np.ones(norms.size, dtype=bool)
     is_frozen[list(important)] = False
@@ -262,7 +258,9 @@ class PipelineConfig:
     :meth:`from_json_dict` checks every value's range as it reads it.  A
     config built in code has its integer and real parameters checked where
     the library uses them (``make_planted``, ``select_important``,
-    ``sample_statistics``, the solve).
+    ``sample_statistics``, the solve).  Either way a planted config's
+    ``selection_budget`` must be at most n - h, the number of nodes a
+    selection can choose from.
     """
 
     mode: str
@@ -294,6 +292,12 @@ class PipelineConfig:
                     raise ValueError(f"planted mode requires {name!r}")
             if self.seed < 0:
                 raise ValueError(f"planted mode needs seed >= 0, got {self.seed}")
+            # the planted data has n - h nodes outside the important set (h > n
+            # is make_planted's to refuse); a dump's n is known only after the
+            # read, so the selection stage checks its budget
+            if self.selection_budget is not None and self.h <= self.n < self.h + self.selection_budget:
+                raise ValueError(f"planted mode needs budget <= n - h = {self.n - self.h}, "
+                                 f"got {self.selection_budget}")
         else:
             if self.dump_dir is None:
                 raise ValueError("dump mode requires 'dump' (directory path)")

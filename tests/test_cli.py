@@ -615,6 +615,28 @@ def test_simulate_refuses_seed_with_seeds_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_planted_budget_above_n_minus_h_before_any_run(tmp_path, capsys):
+    config = _small_config(tmp_path, selection={"budget": 7})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config}: planted mode needs budget <= n - h = 6, got 7"]
+    assert not out.exists()
+
+
+def test_simulate_refuses_several_seeds_on_a_dump_config(tmp_path, capsys):
+    config = _small_config(tmp_path, mode="dump", dump=str(FIXTURES / "score_dump"), solver={"T": 5})
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--seeds", "1,2"]) == 2
+    assert capsys.readouterr().err == "error: --seeds lists 2 seeds, but a dump run uses no seed\n"
+    assert not out.exists()
+    # one seed, by either flag, is still a run
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--seeds", "1", "--quiet"]) == 0
+    assert (out / "seed_1" / "selection.json").exists()
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "one"),
+                 "--seed", "4", "--quiet"]) == 0
+
+
 def test_solve_manifest_records_the_solver_block(tmp_path):
     cov = tmp_path / "cov.csv"
     _write_cov(cov, np.eye(3))

@@ -14,6 +14,7 @@ from ggm_select.ggm import (
     PrecisionMatrix,
     PrecisionMethod,
     SolverOptions,
+    SolverReport,
     compute_group_norms,
     load_covariance,
     penalized_objective,
@@ -22,8 +23,15 @@ from ggm_select.ggm import (
     update_precision,
     update_precision_eig,
 )
-from ggm_select.nodes import read_score_dump, replay_scores, sample_statistics, select_important
-from ggm_select.pipeline import PipelineConfig, make_planted, select_trainable
+from ggm_select.nodes import (
+    ImportanceState,
+    SampleSet,
+    read_score_dump,
+    replay_scores,
+    sample_statistics,
+    select_important,
+)
+from ggm_select.pipeline import PipelineConfig, PlantedProblem, SelectionResult, make_planted, select_trainable
 from ggm_select.scalar_prox import ProxProblem, solve_threshold
 from ggm_select.surrogates import SurrogateSpec
 
@@ -671,6 +679,71 @@ def test_aux_matrix_rejects_non_finite():
         AuxMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
     with pytest.raises(ValueError, match=r"auxiliary matrix must be square, got shape \(3,\)"):
         AuxMatrix(np.ones(3))
+
+
+# every array a value type holds, built from integers or a list where the type
+# takes them: (value, attribute) pairs
+_VALUE_ARRAYS = {
+    "GgmProblem": lambda: [(GgmProblem(np.eye(3, dtype=int), (0,), 0.1, 1.0, SurrogateSpec.geman(0.5)), name)
+                           for name in ("sigma_hat", "columns", "mask")],
+    "PrecisionMatrix": lambda: [(PrecisionMatrix([[2, 0], [0, 3]]), "omega")],
+    "PrecisionMatrix closed form": lambda: [(update_precision_eig(np.eye(2), np.zeros((2, 2)), 1.0), "omega")],
+    "AuxMatrix": lambda: [(AuxMatrix([[1, 0], [0, 1]]), "delta")],
+    "SolverReport": lambda: [(SolverReport(np.eye(2), ((0, -2.0),), True, 1, [0, 1], (1, 1)), name)
+                             for name in ("group_norms", "min_eig_trace")],
+    "PlantedProblem": lambda: [(PlantedProblem([[1, 0], [0, 1]], (0,), (1,), 0, 1), "omega_true")],
+    "SampleSet": lambda: [(SampleSet([[1, 2]], ("a", "b")), "values")],
+    "ImportanceState": lambda: [(ImportanceState([1], [2], 0.5, 0.5), name) for name in ("mean", "spread")],
+    "SelectionResult": lambda: [(SelectionResult((0,), (1,), (), [0, 1]), "scores")],
+}
+
+
+@pytest.mark.parametrize("kind", _VALUE_ARRAYS)
+def test_every_value_type_stores_its_arrays_read_only(kind):
+    for value, name in _VALUE_ARRAYS[kind]():
+        array = getattr(value, name)
+        assert not array.flags.writeable, name
+        # the group structure is boolean; every other array holds numbers
+        assert array.dtype == (bool if name in ("columns", "mask") else np.float64), name
+
+
+# the refusals of the one array rule (_inputs.float_array) that no other test
+# pins word for word, and the type-specific ones it sits beside
+@pytest.mark.parametrize("build, refused", [
+    (lambda: GgmProblem(np.ones((2, 3)), (0,), 0.1, 1.0, SurrogateSpec.geman(0.5)),
+     r"covariance must be square, got shape \(2, 3\)"),
+    (lambda: GgmProblem(np.ones((2, 2, 2)), (0,), 0.1, 1.0, SurrogateSpec.geman(0.5)),
+     r"covariance must be square, got shape \(2, 2, 2\)"),
+    (lambda: GgmProblem([[1.0, np.nan], [np.nan, 1.0]], (0,), 0.1, 1.0, SurrogateSpec.geman(0.5)),
+     "covariance contains non-finite entries"),
+    (lambda: PrecisionMatrix([[1.0, np.inf], [np.inf, 1.0]]), "precision matrix contains non-finite entries"),
+    (lambda: PrecisionMatrix(np.ones(4)), r"precision matrix must be square, got shape \(4,\)"),
+    (lambda: AuxMatrix(np.zeros((2, 0))), r"auxiliary matrix must be square, got shape \(2, 0\)"),
+    (lambda: SampleSet(np.ones(3), ("a",)), "sample matrix must be 2-D, got ndim=1"),
+    (lambda: SampleSet(np.ones((1, 1, 1)), ("a",)), "sample matrix must be 2-D, got ndim=3"),
+    (lambda: SampleSet([[1.0, np.inf]], ("a", "b")), "sample matrix contains non-finite entries"),
+    (lambda: SampleSet([[1.0, -1.0]], ("a", "b")), "node values must be nonnegative"),
+    (lambda: ImportanceState([1.0], [1.0, 2.0], 0.5, 0.5), "mean/spread shape mismatch"),
+    (lambda: ImportanceState([np.nan], [1.0], 0.5, 0.5), "EMA state contains non-finite entries"),
+    (lambda: ImportanceState([1.0], [-np.inf], 0.5, 0.5), "EMA state contains non-finite entries"),
+    (lambda: ImportanceState([1.0], [-1.0], 0.5, 0.5), "EMA state must be nonnegative"),
+    (lambda: ImportanceState([-1.0], [1.0], 0.5, 0.5), "EMA state must be nonnegative"),
+    (lambda: SolverReport(np.eye(2), ((0, -2.0),), True, 1, [0.0, np.nan]),
+     "group_norms contains non-finite entries"),
+    (lambda: SolverReport(np.eye(2), ((0, -2.0),), True, 1, [0.0, 1.0], [np.inf]),
+     "min_eig_trace contains non-finite entries"),
+    (lambda: SelectionResult((0,), (1,), (), [0.0, np.nan]), "scores contains non-finite entries"),
+])
+def test_each_array_refusal_keeps_its_text(build, refused):
+    with pytest.raises(ValueError, match=f"^{refused}$"):
+        build()
+
+
+def test_a_report_is_read_only_from_the_solve():
+    report = solve_ggm(_problem(np.random.default_rng(49), 6), SolverOptions(T=5))
+    assert not report.group_norms.flags.writeable
+    assert not report.min_eig_trace.flags.writeable
+    assert report.min_eig_trace.dtype == np.float64 and report.min_eig_trace.size == report.iterations + 1
 
 
 def test_solver_options_validation():

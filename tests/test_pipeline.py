@@ -120,6 +120,14 @@ def test_selection_threshold_must_be_a_number():
         select_trainable(report, (0,), threshold="0.15")
 
 
+def test_selection_leaves_the_flags_of_the_report_it_reads():
+    report = _report_with_norms([0.0, 0.5, 0.1])
+    flags = (report.group_norms.flags.writeable, report.min_eig_trace.flags.writeable)
+    result = select_trainable(report, (0,), budget=1)
+    assert (report.group_norms.flags.writeable, report.min_eig_trace.flags.writeable) == flags
+    assert not result.scores.flags.writeable
+
+
 def test_selection_result_rejects_overlap():
     with pytest.raises(ValueError):
         SelectionResult((0,), (0, 1), (2,), np.zeros(3))
@@ -211,7 +219,8 @@ def test_planted_problem_names_the_first_unexpected_coupling():
     ([[1.0, 5.0], [0.0, 1.0]], r"^planted precision not symmetric \(max asymmetry 5\.000e\+00\)$"),
     ([[1.0, np.inf], [np.inf, 1.0]], "^planted precision contains non-finite entries$"),
     (np.ones((2, 3)), r"^planted precision must be square, got shape \(2, 3\)$"),
-], ids=["asymmetric", "infinite", "not_square"])
+    (np.zeros((0, 0)), r"^planted precision must not be empty, got shape \(0, 0\)$"),
+], ids=["asymmetric", "infinite", "not_square", "empty"])
 def test_planted_problem_refuses_a_matrix_the_problem_would_refuse(omega, refused):
     with pytest.raises(ValueError, match=refused):
         PlantedProblem(np.array(omega), important_set=(0,), true_connected=(1,), seed=0, m=1)
@@ -414,6 +423,21 @@ def test_config_planted_requires_dimensions():
     del payload["m"]
     with pytest.raises(ValueError, match="m"):
         PipelineConfig.from_json_dict(payload)
+
+
+def test_planted_config_refuses_a_budget_above_n_minus_h():
+    with pytest.raises(ValueError, match=r"^planted mode needs budget <= n - h = 27, got 28$"):
+        _config(selection_budget=28)
+    assert _config(selection_budget=27).selection_budget == 27
+    # h > n is the data stage's refusal, which names h
+    with pytest.raises(ValueError, match=r"^stage 'data': h \+ k_connected = 5 exceeds n = 3$"):
+        run_pipeline(_config(n=3, h=5, k_connected=0, selection_budget=0))
+    payload = _payload(selection={"budget": 1000})
+    with pytest.raises(ValueError, match=r"^planted mode needs budget <= n - h = 27, got 1000$"):
+        PipelineConfig.from_json_dict(payload)
+    # a dump's n is known only after the read: the selection stage checks it
+    dump = PipelineConfig.from_json_dict({**payload, "mode": "dump", "dump": "scores"})
+    assert dump.selection_budget == 1000
 
 
 def test_config_dump_mode_requires_directory():
